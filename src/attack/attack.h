@@ -6,11 +6,20 @@
 // gradient with respect to the input.
 //
 // Execution model: the primitive is the out-parameter perturb_into, and
-// every attack instance owns a GradientScratch whose buffers (logits,
-// loss gradient, input gradient) are reused across calls AND across the
-// iterations of iterative attacks, so a steady-state BIM/PGD loop
-// performs no heap allocation. The value-returning perturb is a thin
-// wrapper for convenience call sites.
+// every attack instance owns a GradientScratch whose input-gradient
+// buffer is reused across calls AND across the iterations of iterative
+// attacks. The value-returning perturb is a thin wrapper for convenience
+// call sites.
+//
+// Crafting needs only dLoss/dInput, so its backward runs under
+// nn::GradMode::kInputOnly, and no example's gradient depends on another
+// example. input_gradient_into therefore splits a batch into pieces of at
+// most 4 rows and runs them on the global pool's threads, each
+// thread through its own replica of the model (Sequential::replicas; the
+// calling thread uses the model itself). Every piece's loss gradient
+// keeps the whole batch's 1/n, so the result is bit-identical to one
+// whole-batch pass. A 1-thread pool, a batch of one piece, or a model
+// that cannot clone runs the same loop as one whole-batch piece.
 #pragma once
 
 #include <memory>
@@ -18,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/loss.h"
 #include "nn/sequential.h"
 
 namespace satd::attack {
@@ -27,25 +35,19 @@ namespace satd::attack {
 inline constexpr float kPixelMin = 0.0f;
 inline constexpr float kPixelMax = 1.0f;
 
-/// Reusable buffers for one input-gradient evaluation: the forward
-/// logits, the loss result (value + dLoss/dLogits) and the input
-/// gradient. Attacks keep one of these per instance so the per-iteration
-/// tensors of BIM/PGD/MI-FGSM are allocated once and reused.
+/// Reusable result buffer for input-gradient evaluation. Attacks keep one
+/// per instance so the per-iteration gradient of BIM/PGD/MI-FGSM is
+/// allocated once and reused.
 struct GradientScratch {
-  Tensor logits;
-  nn::LossResult loss;
   Tensor grad;  ///< dLoss/dInput, shape of the input batch
 };
 
-/// Computes dLoss/dInput for a batch under softmax cross-entropy.
-/// Leaves the model's parameter gradients zeroed (the backward pass
-/// necessarily accumulates them; this helper cleans up so attacks are
-/// side-effect free on the model).
+/// Computes dLoss/dInput for a batch under softmax cross-entropy. Leaves
+/// the model's parameters and parameter gradients as they were.
 Tensor input_gradient(nn::Sequential& model, const Tensor& x,
                       std::span<const std::size_t> labels);
 
-/// Buffer-reuse form: runs forward/loss/backward entirely through the
-/// `scratch` buffers; the result lands in scratch.grad.
+/// Buffer-reuse form: the result lands in scratch.grad.
 void input_gradient_into(nn::Sequential& model, const Tensor& x,
                          std::span<const std::size_t> labels,
                          GradientScratch& scratch);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -19,10 +20,11 @@ namespace satd {
 
 namespace {
 
-// Set while a thread is executing inside worker_loop(); parallel_for
+// Set while a thread runs a parallel_for chunk: always on a pool worker,
+// and on the calling thread while it runs its own chunk. parallel_for
 // checks it so nested parallelism degrades to inline execution instead
-// of deadlocking on wait_idle().
-thread_local bool t_is_pool_worker = false;
+// of queueing behind (or deadlocking on) the outer chunks.
+thread_local bool t_in_parallel_region = false;
 
 /// Default worker count: SATD_THREADS (total threads incl. caller) wins,
 /// else hardware concurrency; both leave one thread for the caller.
@@ -130,7 +132,7 @@ std::size_t ThreadPool::parse_thread_env(const char* text) {
 }
 
 void ThreadPool::worker_loop() {
-  t_is_pool_worker = true;
+  t_in_parallel_region = true;
   for (;;) {
     std::function<void()> job;
     {
@@ -158,7 +160,7 @@ void parallel_for(std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  if (n <= grain || t_is_pool_worker) {
+  if (n <= grain || t_in_parallel_region) {
     body(0, n);
     return;
   }
@@ -170,14 +172,31 @@ void parallel_for(std::size_t n, std::size_t grain,
   }
   const std::size_t chunk =
       std::max(grain, (n + parts - 1) / parts);
+  // The first exception any chunk throws is rethrown here once every
+  // chunk has finished (the chunks reference `body` and the caller's
+  // stack, so none may outlive this call).
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  auto run = [&body, &error_mutex, &error](std::size_t begin,
+                                           std::size_t end) {
+    try {
+      body(begin, end);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
   // Workers take chunks 1..k; the calling thread runs chunk 0 itself so
   // it is never idle while others work.
   for (std::size_t begin = chunk; begin < n; begin += chunk) {
     const std::size_t end = std::min(begin + chunk, n);
-    pool.submit([&body, begin, end] { body(begin, end); });
+    pool.submit([&run, begin, end] { run(begin, end); });
   }
-  body(0, std::min(chunk, n));
+  t_in_parallel_region = true;  // run() never throws
+  run(0, std::min(chunk, n));
+  t_in_parallel_region = false;
   pool.wait_idle();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace satd

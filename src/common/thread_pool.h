@@ -85,8 +85,10 @@ class ThreadPool {
 
 /// Splits [0, n) into chunks and runs `body(begin, end)` over them, using
 /// the global pool plus the calling thread. Blocks until all chunks are
-/// done. With no workers — or when called from inside a pool worker
-/// (nested parallelism) — the body runs inline as body(0, n).
+/// done, then rethrows the first exception a chunk threw. With no
+/// workers — or when called from inside any chunk of another
+/// parallel_for, on a worker or on the calling thread (nested
+/// parallelism) — the body runs inline as body(0, n).
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body);
 

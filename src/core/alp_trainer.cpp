@@ -59,11 +59,11 @@ float AlpTrainer::train_batch(const data::Batch& batch) {
   model_.zero_grad();
   ops::scale(ce_adv_.grad_logits, mix, grad_side_);
   ops::axpy(lambda, pair.grad_adv, grad_side_);
-  model_.backward_into(grad_side_, grad_in_scratch_);
+  model_.backward_params(grad_side_);
   model_.forward_into(batch.images, logits_clean_, /*training=*/true);
   ops::scale(ce_clean_.grad_logits, 1.0f - mix, grad_side_);
   ops::axpy(lambda, pair.grad_clean, grad_side_);
-  model_.backward_into(grad_side_, grad_in_scratch_);
+  model_.backward_params(grad_side_);
   apply_step();
 
   return (1.0f - mix) * ce_clean_.value + mix * ce_adv_.value +

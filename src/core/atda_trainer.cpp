@@ -67,12 +67,12 @@ float AtdaTrainer::train_batch(const data::Batch& batch) {
   // Adversarial side: weighted CE grad + DA grad (caches match adv now).
   ops::scale(ce_adv_.grad_logits, mix, grad_side_);
   ops::axpy(1.0f, da.grad_adv, grad_side_);
-  model_.backward_into(grad_side_, grad_in_scratch_);
+  model_.backward_params(grad_side_);
   // Clean side: re-forward to restore caches, then backward.
   model_.forward_into(batch.images, logits_clean_, /*training=*/true);
   ops::scale(ce_clean_.grad_logits, 1.0f - mix, grad_side_);
   ops::axpy(1.0f, da.grad_clean, grad_side_);
-  model_.backward_into(grad_side_, grad_in_scratch_);
+  model_.backward_params(grad_side_);
   apply_step();
 
   // EMA the class centers from both domains (centers are constants for

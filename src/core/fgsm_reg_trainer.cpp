@@ -42,12 +42,12 @@ float FgsmRegTrainer::train_batch(const data::Batch& batch) {
   // pairing gradient goes first; each later backward re-forwards its own
   // batch.
   ops::scale(pair.grad_adv, lambda, grad_side_);
-  model_.backward_into(grad_side_, grad_in_scratch_);
+  model_.backward_params(grad_side_);
 
   model_.forward_into(adv_scratch_, logits_fgsm_, /*training=*/true);
   ops::scale(ce_fgsm_.grad_logits, mix, grad_side_);
   ops::axpy(lambda, pair.grad_clean, grad_side_);
-  model_.backward_into(grad_side_, grad_in_scratch_);
+  model_.backward_params(grad_side_);
 
   const float clean_loss =
       accumulate_loss_gradient(batch.images, batch.labels, 1.0f - mix);

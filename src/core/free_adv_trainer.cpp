@@ -63,12 +63,12 @@ float FreeAdvTrainer::train_batch(const data::Batch& batch) {
     model_.forward_into(perturbed_, logits_scratch_, /*training=*/true);
     nn::softmax_cross_entropy_into(logits_scratch_, batch.labels,
                                    loss_scratch_);
-    model_.backward_into(loss_scratch_.grad_logits, grad_in_scratch_);
+    model_.backward_into(loss_scratch_.grad_logits, grad_x_);
     apply_step();
     loss_acc += loss_scratch_.value;
     // Ascend the input gradient; keep delta inside the eps box.
     float* pd = delta_.raw();
-    const float* pg = grad_in_scratch_.raw();
+    const float* pg = grad_x_.raw();
     for (std::size_t i = 0; i < used; ++i) {
       const float s = (pg[i] > 0.0f) ? 1.0f : (pg[i] < 0.0f ? -1.0f : 0.0f);
       pd[i] = std::clamp(pd[i] + step * s, -config_.eps, config_.eps);

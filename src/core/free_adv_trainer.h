@@ -37,6 +37,7 @@ class FreeAdvTrainer : public Trainer {
  private:
   Tensor delta_;      // [B, C, H, W] perturbation carried across batches
   Tensor perturbed_;  // reused x + delta buffer
+  Tensor grad_x_;     // reused dLoss/dInput of the perturbed batch
 };
 
 }  // namespace satd::core

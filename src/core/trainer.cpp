@@ -64,7 +64,7 @@ float Trainer::accumulate_loss_gradient(const Tensor& x,
   if (weight != 1.0f) {
     for (float& g : loss_scratch_.grad_logits.data()) g *= weight;
   }
-  model_.backward_into(loss_scratch_.grad_logits, grad_in_scratch_);
+  model_.backward_params(loss_scratch_.grad_logits);
   return loss_scratch_.value;
 }
 

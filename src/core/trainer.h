@@ -289,10 +289,9 @@ class Trainer {
 
   // Persistent per-batch buffers (resized on shape change, reused
   // otherwise) so the steady-state training loop is allocation free:
-  // forward logits, loss result, dLoss/dInput sink, adversarial batch.
+  // forward logits, loss result, adversarial batch.
   Tensor logits_scratch_;
   nn::LossResult loss_scratch_;
-  Tensor grad_in_scratch_;
   Tensor adv_scratch_;
 
   StopCheck stop_check_;

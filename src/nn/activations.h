@@ -12,6 +12,7 @@ class ReLU : public Layer {
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   void release_buffers() override;
+  LayerPtr clone() const override { return std::make_unique<ReLU>(); }
   std::string name() const override { return "ReLU"; }
   Shape output_shape(const Shape& input) const override { return input; }
 
@@ -25,6 +26,7 @@ class Tanh : public Layer {
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   void release_buffers() override;
+  LayerPtr clone() const override { return std::make_unique<Tanh>(); }
   std::string name() const override { return "Tanh"; }
   Shape output_shape(const Shape& input) const override { return input; }
 
@@ -39,6 +41,9 @@ class LeakyReLU : public Layer {
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   void release_buffers() override;
+  LayerPtr clone() const override {
+    return std::make_unique<LeakyReLU>(slope_);
+  }
   std::string name() const override;
   Shape output_shape(const Shape& input) const override { return input; }
 

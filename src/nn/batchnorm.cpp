@@ -92,24 +92,33 @@ void BatchNorm2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   const std::size_t n = in_shape_[0];
   const std::size_t plane = in_shape_[2] * in_shape_[3];
   const std::size_t m = n * plane;
+  const GradMode mode = ScopedGradMode::current();
+  // The channel sums feed dgamma/dbeta and the training-mode dx; an
+  // input-only backward through inference statistics needs neither.
+  const bool need_sums = mode != GradMode::kInputOnly || cached_training_;
 
-  grad_in.ensure_shape(in_shape_);
+  if (mode != GradMode::kParamsOnly) grad_in.ensure_shape(in_shape_);
   const float* pg = grad_out.raw();
   const float* pxh = x_hat_.raw();
   float* pgx = grad_in.raw();
   for (std::size_t c = 0; c < channels_; ++c) {
     // Accumulate dgamma = Σ g·x̂ and dbeta = Σ g for the channel.
     double sum_g = 0.0, sum_gxh = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* g = pg + (i * channels_ + c) * plane;
-      const float* xh = pxh + (i * channels_ + c) * plane;
-      for (std::size_t j = 0; j < plane; ++j) {
-        sum_g += g[j];
-        sum_gxh += static_cast<double>(g[j]) * xh[j];
+    if (need_sums) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const float* g = pg + (i * channels_ + c) * plane;
+        const float* xh = pxh + (i * channels_ + c) * plane;
+        for (std::size_t j = 0; j < plane; ++j) {
+          sum_g += g[j];
+          sum_gxh += static_cast<double>(g[j]) * xh[j];
+        }
       }
     }
-    ggamma_[c] += static_cast<float>(sum_gxh);
-    gbeta_[c] += static_cast<float>(sum_g);
+    if (mode != GradMode::kInputOnly) {
+      ggamma_[c] += static_cast<float>(sum_gxh);
+      gbeta_[c] += static_cast<float>(sum_g);
+    }
+    if (mode == GradMode::kParamsOnly) continue;
 
     const float scale = gamma_[c] * inv_std_[c];
     if (cached_training_) {
@@ -136,6 +145,15 @@ void BatchNorm2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
       }
     }
   }
+}
+
+LayerPtr BatchNorm2d::clone() const {
+  auto copy = std::make_unique<BatchNorm2d>(channels_, momentum_, eps_);
+  copy->gamma_ = gamma_;
+  copy->beta_ = beta_;
+  copy->running_mean_ = running_mean_;
+  copy->running_var_ = running_var_;
+  return copy;
 }
 
 void BatchNorm2d::release_buffers() {

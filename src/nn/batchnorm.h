@@ -20,6 +20,7 @@ class BatchNorm2d : public Layer {
 
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
+  LayerPtr clone() const override;
 
   std::vector<Tensor*> parameters() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> gradients() override { return {&ggamma_, &gbeta_}; }

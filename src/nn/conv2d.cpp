@@ -69,6 +69,7 @@ void Conv2d::forward_into(const Tensor& x, Tensor& out, bool /*training*/) {
 
 void Conv2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   consume_cache("Conv2d");
+  const GradMode mode = ScopedGradMode::current();
   const ConvGeometry& g = cached_geometry_;
   const std::size_t n = cached_batch_;
   const std::size_t oh = g.out_h();
@@ -93,15 +94,28 @@ void Conv2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
       }
     }
   });
-  // gW += g2ᵀ · cols : [out_c, patch], one GEMM over the whole batch.
-  ops::matmul_tn(g2_, cols_cache_, gw_batch_);
-  ops::axpy(1.0f, gw_batch_, gw_);
-  // gb += column sums of g2.
-  ops::sum_rows(g2_, gb_batch_);
-  ops::axpy(1.0f, gb_batch_, gb_);
-  // gcols = g2 · W : [N*oh*ow, patch]; then fold back to image space.
-  ops::matmul(g2_, w_, gcols_);
-  col2im_batch(gcols_, n, g, grad_in);
+  if (mode != GradMode::kInputOnly) {
+    // gW += g2ᵀ · cols : [out_c, patch], one GEMM over the whole batch.
+    ops::matmul_tn(g2_, cols_cache_, gw_batch_);
+    ops::axpy(1.0f, gw_batch_, gw_);
+    // gb += column sums of g2.
+    ops::sum_rows(g2_, gb_batch_);
+    ops::axpy(1.0f, gb_batch_, gb_);
+  }
+  if (mode != GradMode::kParamsOnly) {
+    // gcols = g2 · W : [N*oh*ow, patch]; then fold back to image space.
+    ops::matmul(g2_, w_, gcols_);
+    col2im_batch(gcols_, n, g, grad_in);
+  }
+}
+
+LayerPtr Conv2d::clone() const {
+  Rng unused(0);  // the initial weights are overwritten below
+  auto copy =
+      std::make_unique<Conv2d>(in_c_, out_c_, kernel_, padding_, unused);
+  copy->w_ = w_;
+  copy->b_ = b_;
+  return copy;
 }
 
 void Conv2d::release_buffers() {

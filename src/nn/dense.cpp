@@ -34,12 +34,23 @@ void Dense::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   consume_cache("Dense");
   SATD_EXPECT((grad_out.shape() == Shape{x_cache_.shape()[0], out_}),
               "Dense backward: grad shape mismatch");
+  const GradMode mode = ScopedGradMode::current();
   // gW += xᵀ·g ; gb += Σ_rows g ; gx = g·Wᵀ
-  ops::matmul_tn(x_cache_, grad_out, gw_batch_);
-  ops::axpy(1.0f, gw_batch_, gw_);
-  ops::sum_rows(grad_out, gb_batch_);
-  ops::axpy(1.0f, gb_batch_, gb_);
-  ops::matmul_nt(grad_out, w_, grad_in);
+  if (mode != GradMode::kInputOnly) {
+    ops::matmul_tn(x_cache_, grad_out, gw_batch_);
+    ops::axpy(1.0f, gw_batch_, gw_);
+    ops::sum_rows(grad_out, gb_batch_);
+    ops::axpy(1.0f, gb_batch_, gb_);
+  }
+  if (mode != GradMode::kParamsOnly) ops::matmul_nt(grad_out, w_, grad_in);
+}
+
+LayerPtr Dense::clone() const {
+  Rng unused(0);  // the initial weights are overwritten below
+  auto copy = std::make_unique<Dense>(in_, out_, unused);
+  copy->w_ = w_;
+  copy->b_ = b_;
+  return copy;
 }
 
 void Dense::release_buffers() {

@@ -18,6 +18,7 @@ class Dense : public Layer {
 
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
+  LayerPtr clone() const override;
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&gw_, &gb_}; }

@@ -37,6 +37,13 @@ void Dropout::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   ops::mul(grad_out, mask_, grad_in);
 }
 
+LayerPtr Dropout::clone() const {
+  Rng unused(0);  // the stream is overwritten below
+  auto copy = std::make_unique<Dropout>(p_, unused);
+  copy->rng_ = rng_;
+  return copy;
+}
+
 void Dropout::release_buffers() {
   Layer::release_buffers();
   mask_ = Tensor();

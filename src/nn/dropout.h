@@ -17,6 +17,7 @@ class Dropout : public Layer {
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   void release_buffers() override;
+  LayerPtr clone() const override;
   std::string name() const override;
   Shape output_shape(const Shape& input) const override { return input; }
 

@@ -10,6 +10,7 @@ class Flatten : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
+  LayerPtr clone() const override { return std::make_unique<Flatten>(); }
   std::string name() const override { return "Flatten"; }
   Shape output_shape(const Shape& input) const override;
 

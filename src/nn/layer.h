@@ -33,6 +33,15 @@
 //    ContractViolation instead of silently computing wrong gradients.
 //  * zero_grad() clears accumulated parameter gradients.
 //  * release_buffers() frees scratch/caches; they regrow on next use.
+//  * What a backward computes is the calling thread's GradMode (below):
+//    attack crafting needs only dLoss/dInput, and the update pass's
+//    first trainable layer needs only its parameter gradients. The mode
+//    is scoped state rather than an argument so that it also reaches a
+//    layer through wrappers that forward only forward_into and
+//    backward_into.
+//  * clone() copies a layer's configuration and parameters (and state
+//    tensors) but none of its caches or gradients; layers that cannot be
+//    copied return nullptr.
 #pragma once
 
 #include <memory>
@@ -43,6 +52,37 @@
 #include "tensor/tensor.h"
 
 namespace satd::nn {
+
+/// What backward_into computes on the calling thread.
+enum class GradMode {
+  kFull,        ///< parameter gradients and dLoss/dInput (the default)
+  kInputOnly,   ///< dLoss/dInput only; parameter gradients are untouched
+  kParamsOnly,  ///< parameter gradients only; grad_in is left untouched
+};
+
+/// Sets the calling thread's GradMode for the guard's lifetime. Layers
+/// read the mode once, at the top of backward_into on the calling
+/// thread: parallel_for chunks may run on other threads, which keep
+/// their own mode.
+class ScopedGradMode {
+ public:
+  explicit ScopedGradMode(GradMode mode) : saved_(current_) {
+    current_ = mode;
+  }
+  ~ScopedGradMode() { current_ = saved_; }
+  ScopedGradMode(const ScopedGradMode&) = delete;
+  ScopedGradMode& operator=(const ScopedGradMode&) = delete;
+
+  /// The calling thread's mode (kFull outside every guard).
+  static GradMode current() { return current_; }
+
+ private:
+  static inline thread_local GradMode current_ = GradMode::kFull;
+  GradMode saved_;
+};
+
+class Layer;
+using LayerPtr = std::unique_ptr<Layer>;
 
 /// Abstract NN layer (see file comment for the forward/backward contract).
 class Layer {
@@ -55,8 +95,13 @@ class Layer {
 
   /// Back-propagates: accumulates parameter gradients and writes the
   /// gradient with respect to the layer input into `grad_in` (reused
-  /// across calls). `grad_in` must not alias `grad_out`.
+  /// across calls), either of which the GradMode may skip. `grad_in`
+  /// must not alias `grad_out`.
   virtual void backward_into(const Tensor& grad_out, Tensor& grad_in) = 0;
+
+  /// A copy with this layer's configuration, parameters and state but no
+  /// caches, or nullptr when the layer cannot be copied (the default).
+  virtual LayerPtr clone() const { return nullptr; }
 
   /// Value-returning convenience wrapper over forward_into.
   Tensor forward(const Tensor& x, bool training) {
@@ -121,7 +166,5 @@ class Layer {
  private:
   bool cache_valid_ = false;
 };
-
-using LayerPtr = std::unique_ptr<Layer>;
 
 }  // namespace satd::nn

@@ -63,14 +63,24 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 void softmax_cross_entropy_into(const Tensor& logits,
                                 std::span<const std::size_t> labels,
                                 LossResult& res) {
+  const std::size_t n = labels.size();
+  const double loss =
+      softmax_cross_entropy_rows_into(logits, labels, n, res.grad_logits);
+  res.value = static_cast<float>(loss / static_cast<double>(n));
+}
+
+double softmax_cross_entropy_rows_into(const Tensor& logits,
+                                       std::span<const std::size_t> labels,
+                                       std::size_t batch, Tensor& grad) {
   check_batch(logits, labels);
   const std::size_t n = logits.shape()[0];
   const std::size_t k = logits.shape()[1];
   SATD_EXPECT(n > 0, "empty batch");
-  softmax_into(logits, res.grad_logits);
+  SATD_EXPECT(n <= batch, "more rows than the batch they belong to");
+  softmax_into(logits, grad);
   double loss = 0.0;
-  float* pg = res.grad_logits.raw();
-  const float inv_n = 1.0f / static_cast<float>(n);
+  float* pg = grad.raw();
+  const float inv_n = 1.0f / static_cast<float>(batch);
   for (std::size_t i = 0; i < n; ++i) {
     float* row = pg + i * k;
     const float p = std::max(row[labels[i]], 1e-12f);
@@ -78,7 +88,7 @@ void softmax_cross_entropy_into(const Tensor& logits,
     row[labels[i]] -= 1.0f;
     for (std::size_t j = 0; j < k; ++j) row[j] *= inv_n;
   }
-  res.value = static_cast<float>(loss / static_cast<double>(n));
+  return loss;
 }
 
 float softmax_cross_entropy_value(const Tensor& logits,

@@ -34,10 +34,19 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 
 /// Out-parameter cross-entropy: writes the loss value and gradient into
 /// `res`, reusing res.grad_logits across batches. The buffer-reuse form
-/// for steady-state training and attack loops.
+/// for steady-state training loops.
 void softmax_cross_entropy_into(const Tensor& logits,
                                 std::span<const std::size_t> labels,
                                 LossResult& res);
+
+/// Cross-entropy over some rows of a batch of `batch` rows: writes into
+/// `grad` the rows' part of the gradient of the batch's MEAN loss (so a
+/// piece keeps the whole batch's 1/batch) and returns the rows' summed
+/// loss, added in row order. softmax_cross_entropy_into is this over
+/// the whole batch.
+double softmax_cross_entropy_rows_into(const Tensor& logits,
+                                       std::span<const std::size_t> labels,
+                                       std::size_t batch, Tensor& grad);
 
 /// Loss value only (no gradient); used by evaluation loops.
 float softmax_cross_entropy_value(const Tensor& logits,

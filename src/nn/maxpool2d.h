@@ -17,6 +17,9 @@ class MaxPool2d : public Layer {
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
 
   void release_buffers() override;
+  LayerPtr clone() const override {
+    return std::make_unique<MaxPool2d>(window_);
+  }
 
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;

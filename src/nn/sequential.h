@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,23 @@ class Sequential {
   /// not alias `grad_logits`.
   void backward_into(const Tensor& grad_logits, Tensor& grad_in);
 
-  /// Releases every layer's scratch plus both tapes (all regrow on the
-  /// next pass). For idle models and cold-buffer benchmarking.
+  /// The update pass's backward when nothing reads dLoss/dInput:
+  /// accumulates parameter gradients bit-identical to backward_into's.
+  /// The first layer with parameters runs under GradMode::kParamsOnly,
+  /// and the layers below it, which have no parameters, do not run.
+  void backward_params(const Tensor& grad_logits);
+
+  /// `count` private copies of this model, for running independent
+  /// examples on other threads. Each call re-copies the parameters and
+  /// state tensors into them, so they compute exactly what the model
+  /// would. They are built on first use with no buffers, and
+  /// release_buffers() drops them. Returns an empty span when some layer
+  /// cannot clone. The span is valid until the next call.
+  std::span<Sequential> replicas(std::size_t count);
+
+  /// Releases every layer's scratch plus both tapes and the replicas
+  /// (all regrow on the next pass). For idle models and cold-buffer
+  /// benchmarking.
   void release_buffers();
 
   /// All trainable parameters / their gradient buffers, in layer order.
@@ -76,6 +92,11 @@ class Sequential {
   std::string summary(const Shape& input) const;
 
  private:
+  /// Runs backward through layers [first + 1, n) and returns the
+  /// gradient with respect to layer `first`'s output.
+  const Tensor& backward_down_to(const Tensor& grad_logits,
+                                 std::size_t first);
+
   std::vector<LayerPtr> layers_;
   // Persistent inter-layer buffers: act_tape_[i] holds the output of
   // layer i (the last layer writes the caller's `out`), grad_tape_[i]
@@ -83,6 +104,7 @@ class Sequential {
   // `grad_in`). Sized on first use, reused across batches.
   std::vector<Tensor> act_tape_;
   std::vector<Tensor> grad_tape_;
+  std::vector<Sequential> replicas_;
 };
 
 }  // namespace satd::nn

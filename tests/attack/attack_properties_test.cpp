@@ -84,6 +84,15 @@ TEST_P(AttackPropertyTest, ParameterGradientsLeftZero) {
   for (Tensor* g : model.gradients()) {
     for (float v : g->data()) EXPECT_EQ(v, 0.0f);
   }
+  // Crafting accumulates nothing, so gradients a caller has already
+  // accumulated survive it, on the whole-batch path and the split one.
+  for (Tensor* g : model.gradients()) g->fill(0.5f);
+  attack->perturb(model, test_batch(4), test_labels(4));
+  attack->perturb(model, test_batch(9), test_labels(9));
+  for (Tensor* g : model.gradients()) {
+    for (float v : g->data()) EXPECT_EQ(v, 0.5f);
+  }
+  model.zero_grad();
 }
 
 TEST_P(AttackPropertyTest, ModelParametersUntouched) {

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/crc32.h"
+#include "temp_path.h"
 
 namespace satd::durable {
 namespace {
@@ -15,7 +16,7 @@ namespace fs = std::filesystem;
 class DurableIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "satd_durable_io_test";
+    dir_ = unique_temp_path("satd_durable_io_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     fault::disarm();

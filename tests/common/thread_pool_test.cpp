@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/contract.h"
@@ -140,6 +142,42 @@ TEST(ParallelFor, NestedCallRunsInlineInsteadOfDeadlocking) {
     }
   });
   EXPECT_EQ(inner_total.load(), 80);
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(ParallelFor, NestedCallFromCallingThreadRunsInline) {
+  ThreadPool::set_global_threads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> inner_calls{0};
+  std::atomic<bool> split_or_moved{false};
+  parallel_for(4, [&](std::size_t begin, std::size_t) {
+    if (begin != 0) return;
+    // Chunk 0 runs on the calling thread. Its nested call must run there
+    // too, as one body(0, n), exactly as it would on a worker.
+    parallel_for(1000, [&](std::size_t b, std::size_t e) {
+      inner_calls.fetch_add(1);
+      if (std::this_thread::get_id() != caller || b != 0 || e != 1000) {
+        split_or_moved = true;
+      }
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 1);
+  EXPECT_FALSE(split_or_moved.load());
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(ParallelFor, RethrowsAChunkExceptionAfterEveryChunkFinishes) {
+  ThreadPool::set_global_threads(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(4,
+                            [&](std::size_t begin, std::size_t) {
+                              if (begin == 3) {
+                                throw std::runtime_error("chunk 3");
+                              }
+                              finished.fetch_add(1);
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
   ThreadPool::set_global_threads(0);
 }
 

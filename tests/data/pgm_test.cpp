@@ -8,6 +8,7 @@
 #include "common/contract.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
+#include "temp_path.h"
 
 namespace satd::data {
 namespace {
@@ -17,7 +18,7 @@ namespace fs = std::filesystem;
 class PgmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "satd_pgm_test";
+    dir_ = unique_temp_path("satd_pgm_test");
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

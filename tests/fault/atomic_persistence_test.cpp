@@ -11,6 +11,7 @@
 #include "data/synthetic.h"
 #include "nn/model_io.h"
 #include "nn/zoo.h"
+#include "temp_path.h"
 
 namespace satd {
 namespace {
@@ -20,7 +21,7 @@ namespace fs = std::filesystem;
 class AtomicPersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "satd_atomic_persistence";
+    dir_ = unique_temp_path("satd_atomic_persistence");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     durable::fault::disarm();

@@ -11,6 +11,7 @@
 #include "data/synthetic.h"
 #include "metrics/model_cache.h"
 #include "nn/zoo.h"
+#include "temp_path.h"
 
 namespace satd::metrics {
 namespace {
@@ -20,7 +21,7 @@ namespace fs = std::filesystem;
 class CacheQuarantineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "satd_cache_quarantine").string();
+    dir_ = unique_temp_path("satd_cache_quarantine").string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

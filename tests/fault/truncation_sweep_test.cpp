@@ -13,6 +13,7 @@
 #include "nn/model_io.h"
 #include "nn/zoo.h"
 #include "tensor/serialize.h"
+#include "temp_path.h"
 
 namespace satd {
 namespace {
@@ -49,7 +50,7 @@ std::vector<std::size_t> sweep_points(std::size_t size) {
 class TruncationSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "satd_truncation_sweep";
+    dir_ = unique_temp_path("satd_truncation_sweep");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

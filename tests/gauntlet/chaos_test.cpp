@@ -11,6 +11,7 @@
 
 #include "experiments.h"
 #include "runtime/supervisor.h"
+#include "temp_path.h"
 
 namespace satd::bench {
 namespace {
@@ -29,7 +30,7 @@ class GauntletChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     original_cwd_ = fs::current_path();
-    root_ = fs::temp_directory_path() / "satd_gauntlet_chaos";
+    root_ = unique_temp_path("satd_gauntlet_chaos");
     fs::remove_all(root_);
     fs::create_directories(root_ / "clean");
     fs::create_directories(root_ / "crashed");

@@ -8,6 +8,7 @@
 #include "core/vanilla_trainer.h"
 #include "data/synthetic.h"
 #include "nn/zoo.h"
+#include "temp_path.h"
 
 namespace satd::metrics {
 namespace {
@@ -17,7 +18,7 @@ namespace fs = std::filesystem;
 class ModelCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "satd_cache_test").string();
+    dir_ = unique_temp_path("satd_cache_test").string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

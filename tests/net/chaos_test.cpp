@@ -13,6 +13,7 @@
 #include "net/client.h"
 #include "net/fault.h"
 #include "net/frontend.h"
+#include "temp_path.h"
 
 namespace satd::net {
 namespace {
@@ -43,7 +44,7 @@ class SocketChaos : public ::testing::Test {
  protected:
   void SetUp() override {
     fault::disarm();
-    cfg_.listen = unix_addr("chaos_fe.sock");
+    cfg_.listen = unix_addr(unique_test_name("chaos_fe") + ".sock");
     fe_ = std::make_unique<FrontEnd>(cfg_, instant_sink());
     fe_->start();
     ccfg_.endpoints = {cfg_.listen};
@@ -139,7 +140,7 @@ TEST_F(SocketChaos, FrontEndVanishingMidStreamFailsOverToTheSurvivor) {
   // abruptly (connections die, listener gone — the in-process stand-in
   // for kill -9). The client must fail over and finish on the survivor.
   FrontEndConfig cfg2;
-  cfg2.listen = unix_addr("chaos_fe2.sock");
+  cfg2.listen = unix_addr(unique_test_name("chaos_fe2") + ".sock");
   FrontEnd survivor(cfg2, instant_sink());
   survivor.start();
 

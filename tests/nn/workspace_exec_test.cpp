@@ -64,6 +64,58 @@ TEST_P(IntoPathZooTest, ForwardBackwardBitIdenticalToValuePath) {
   }
 }
 
+// backward_params skips only work whose result nothing reads: the
+// parameter gradients it accumulates, over two passes, are bit-identical
+// to backward_into's.
+TEST_P(IntoPathZooTest, BackwardParamsMatchesBackwardInto) {
+  Rng rng1(17), rng2(17);
+  Sequential full = zoo::build(GetParam(), rng1);
+  Sequential params_only = zoo::build(GetParam(), rng2);
+  Rng grad_rng(32);
+  Tensor g(Shape{3, zoo::kNumClasses});
+  for (float& v : g.data()) v = static_cast<float>(grad_rng.uniform(-1, 1));
+
+  Tensor logits, gx;
+  for (std::uint64_t pass = 0; pass < 2; ++pass) {
+    const Tensor x = random_images(3, 27 + pass);
+    full.forward_into(x, logits, /*training=*/true);
+    full.backward_into(g, gx);
+    params_only.forward_into(x, logits, /*training=*/true);
+    params_only.backward_params(g);
+  }
+  const auto gf = full.gradients();
+  const auto gp = params_only.gradients();
+  ASSERT_EQ(gf.size(), gp.size());
+  for (std::size_t i = 0; i < gf.size(); ++i) {
+    EXPECT_TRUE(gf[i]->equals(*gp[i])) << "gradient tensor " << i;
+  }
+}
+
+// Under GradMode::kInputOnly a backward leaves every parameter gradient
+// as it was and writes the same dLoss/dInput as a full backward.
+TEST_P(IntoPathZooTest, InputOnlyBackwardMatchesFullInputGradient) {
+  Rng rng1(18), rng2(18);
+  Sequential full = zoo::build(GetParam(), rng1);
+  Sequential input_only = zoo::build(GetParam(), rng2);
+  for (Tensor* grad : input_only.gradients()) grad->fill(0.25f);
+  const Tensor x = random_images(3, 28);
+  Tensor g(Shape{3, zoo::kNumClasses});
+  g.fill(0.1f);
+
+  Tensor logits, gx_full, gx_input;
+  full.forward_into(x, logits, /*training=*/false);
+  full.backward_into(g, gx_full);
+  input_only.forward_into(x, logits, /*training=*/false);
+  {
+    const ScopedGradMode mode(GradMode::kInputOnly);
+    input_only.backward_into(g, gx_input);
+  }
+  EXPECT_TRUE(gx_full.equals(gx_input));
+  for (Tensor* grad : input_only.gradients()) {
+    for (float v : grad->data()) EXPECT_EQ(v, 0.25f);
+  }
+}
+
 // Steady state is allocation-free: once buffers exist, repeated passes
 // at the same shape must not move the output or input-gradient storage.
 TEST_P(IntoPathZooTest, SteadyStatePointersAreStable) {

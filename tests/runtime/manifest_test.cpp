@@ -9,6 +9,7 @@
 #include "common/durable_io.h"
 #include "runtime/manifest.h"
 #include "tensor/serialize.h"
+#include "temp_path.h"
 
 namespace satd::runtime {
 namespace {
@@ -18,7 +19,7 @@ namespace fs = std::filesystem;
 class ManifestTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "satd_manifest_test";
+    dir_ = unique_temp_path("satd_manifest_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     path_ = (dir_ / "manifest.bin").string();

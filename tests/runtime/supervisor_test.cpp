@@ -13,6 +13,7 @@
 
 #include "common/durable_io.h"
 #include "runtime/supervisor.h"
+#include "temp_path.h"
 
 namespace satd::runtime {
 namespace {
@@ -23,7 +24,7 @@ class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fault::disarm();
-    dir_ = fs::temp_directory_path() / "satd_supervisor_test";
+    dir_ = unique_temp_path("satd_supervisor_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     manifest_path_ = (dir_ / "manifest.bin").string();
