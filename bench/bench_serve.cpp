@@ -1,31 +1,29 @@
 // Serving bench: throughput/latency of the micro-batching inference
-// server (src/serve) under closed- and open-loop load, static vs
-// SLO-aware adaptive batching.
+// server (src/serve) and its SLO-aware adaptive batching window under
+// closed- and open-loop load.
 //
 // Experiment families, all against a deterministically initialized
 // cnn_small (serving cost does not depend on trained weights, so no
 // training is needed and the bench starts instantly):
 //
 //   closed_w{W}_b{B}   — closed loop: 2*W client threads submit-and-wait
-//     in lockstep over W workers with the STATIC (max_batch, max_wait)
-//     window. Measures steady-state throughput, latency percentiles,
-//     jitter (mean/stddev) and achieved batch coalescing.
-//   adaptive_w{W}_b8   — the same closed-loop load under the ADAPTIVE
-//     window (arrival-rate + service-time estimators close the window
-//     early when waiting cannot raise goodput). The headline comparison:
-//     the static b8 rows wait out max_wait for clients that are blocked
-//     on the batch in flight and invert the throughput ordering; the
-//     adaptive rows must restore adaptive_b8 >= closed_b1.
-//   open_w{W}_b8_*     — open loop: a FIXED, SEEDED arrival schedule
+//     in lockstep over W workers, max_batch B. Measures steady-state
+//     throughput, latency percentiles, jitter (mean/stddev) and achieved
+//     batch coalescing. The b8 window closes as soon as the arrival and
+//     service-time estimators stop predicting a goodput gain, so clients
+//     blocked on the batch in flight are not made to wait out max_wait:
+//     b8 must stay in b1's league (a fixed window inverted the ordering,
+//     b8 near 0.15x b1).
+//   open_w{W}_b8       — open loop: a FIXED, SEEDED arrival schedule
 //     (exponential inter-arrival gaps at --open-loop-rps) is drawn up
-//     front and replayed fire-and-forget, so static and adaptive points
-//     face byte-identical offered load and latency includes queueing
-//     delay, not client back-pressure.
-//   deadline           — a per-request timeout shorter than the expected
-//     window + service horizon: the feasibility gate rejects every
-//     request AT ADMISSION (rejected_infeasible) instead of admitting
-//     work that can only expire (the pre-horizon behavior counted these
-//     as deadline misses after queueing).
+//     front and replayed fire-and-forget, so every run faces
+//     byte-identical offered load and latency includes queueing delay,
+//     not client back-pressure.
+//   deadline           — after a warm-up that measures the service time,
+//     a per-request timeout below it: the feasibility horizon (expected
+//     window + predicted service) rejects every request AT ADMISSION
+//     (rejected_infeasible) instead of admitting work that can only
+//     expire as a deadline miss after queueing.
 //   overload           — fires far beyond queue capacity with no
 //     consumers keeping up: typed backpressure (queue_full rejects)
 //     instead of unbounded queueing.
@@ -86,8 +84,10 @@ struct PointConfig {
   std::size_t clients = 2;
   std::size_t queue_capacity = 1024;
   double timeout = 0.0;  ///< per-request relative deadline (0 = none)
+  /// Requests served one by one before the timed loop (no deadline), so
+  /// the service-time model has measured the model.
+  std::size_t warmup = 0;
   bool quantized = false;  ///< serve through the int8 snapshot
-  bool adaptive = false;   ///< SLO-aware adaptive window policy
 };
 
 serve::ServerConfig make_config(const PointConfig& pc) {
@@ -98,7 +98,6 @@ serve::ServerConfig make_config(const PointConfig& pc) {
   cfg.batch.max_batch = pc.max_batch;
   cfg.batch.max_wait = pc.max_wait;
   cfg.batch.quantized = pc.quantized;
-  cfg.batch.adaptive = pc.adaptive;
   return cfg;
 }
 
@@ -111,6 +110,9 @@ std::pair<serve::StatsSnapshot, double> run_closed(
   server.start();
 
   const std::size_t pool_size = pool.shape()[0];
+  for (std::size_t i = 0; i < pc.warmup; ++i) {
+    server.submit(pool.slice_row(i % pool_size)).wait();
+  }
   std::atomic<std::size_t> next{0};
   const double t0 = SystemClock::instance().now();
   std::vector<std::thread> clients;
@@ -135,8 +137,8 @@ std::pair<serve::StatsSnapshot, double> run_closed(
 /// Open-loop point: the whole arrival schedule (exponential gaps at
 /// `rps`) and image sequence are drawn from a seeded Rng BEFORE the
 /// server starts, then replayed fire-and-forget against the wall clock.
-/// Static and adaptive policies therefore face an identical offered
-/// load, and latency measures queueing + service, not client lockstep.
+/// Every run therefore faces an identical offered load, and latency
+/// measures queueing + service, not client lockstep.
 std::pair<serve::StatsSnapshot, double> run_open(
     serve::ModelRegistry& registry, const Tensor& pool,
     const PointConfig& pc, double rps, std::uint64_t seed) {
@@ -179,7 +181,6 @@ void add_row(std::vector<bench::JsonResult>& rows, const std::string& name,
   row.numbers = {
       {"workers", static_cast<double>(pc.workers)},
       {"max_batch", static_cast<double>(pc.max_batch)},
-      {"adaptive", pc.adaptive ? 1.0 : 0.0},
       {"requests", static_cast<double>(pc.requests)},
       {"served", static_cast<double>(s.served)},
       {"throughput_rps", elapsed > 0 ? s.served / elapsed : 0.0},
@@ -405,8 +406,8 @@ void run_socket_point(std::vector<bench::JsonResult>& rows,
 int main(int argc, char** argv) {
   CliParser cli("bench_serve",
                 "Micro-batching inference server load bench (closed-loop "
-                "static vs adaptive sweep, seeded open-loop schedule, "
-                "overload, deadline pressure).");
+                "sweep, seeded open-loop schedule, overload, deadline "
+                "pressure).");
   cli.add_int("requests", 256, "requests per closed-loop point");
   cli.add_string("model", "cnn_small", "zoo spec to serve");
   cli.add_double("open-loop-rps", 2000.0,
@@ -452,7 +453,7 @@ int main(int argc, char** argv) {
 
   std::vector<bench::JsonResult> rows;
 
-  // Closed-loop sweep: worker count x static batching policy.
+  // Closed-loop sweep: worker count x max_batch.
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     for (std::size_t max_batch : {std::size_t{1}, std::size_t{8}}) {
       PointConfig pc;
@@ -468,36 +469,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Adaptive twins of the static b8 rows: the window closes as soon as
-  // the arrival estimator stops promising a neighbour, so the blocked
-  // closed-loop clients are served immediately instead of waiting out
-  // max_wait — the inversion (static b8 far below b1) must disappear.
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  // Open-loop schedule replay at each worker count.
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
     PointConfig pc;
     pc.workers = workers;
     pc.max_batch = 8;
     pc.requests = requests;
-    pc.clients = 2 * workers;
-    pc.adaptive = true;
-    const auto r = run_closed(registry, pool, pc);
-    add_row(rows, "adaptive_w" + std::to_string(workers) + "_b8", pc, r);
-  }
-
-  // Open-loop schedule replay: identical offered load for static vs
-  // adaptive at each worker count.
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    for (bool adaptive : {false, true}) {
-      PointConfig pc;
-      pc.workers = workers;
-      pc.max_batch = 8;
-      pc.requests = requests;
-      pc.adaptive = adaptive;
-      const auto r = run_open(registry, pool, pc, open_rps, open_seed);
-      add_row(rows,
-              "open_w" + std::to_string(workers) + "_b8" +
-                  (adaptive ? "_adaptive" : "_static"),
-              pc, r, open_rps);
-    }
+    const auto r = run_open(registry, pool, pc, open_rps, open_seed);
+    add_row(rows, "open_w" + std::to_string(workers) + "_b8", pc, r,
+            open_rps);
   }
 
   // Quantized closed-loop points: same policy as the float w{1,2}_b8
@@ -515,10 +495,11 @@ int main(int argc, char** argv) {
     add_row(rows, "quantized_w" + std::to_string(workers) + "_b8", pc, r);
   }
 
-  // Deadline pressure: the expected window (max_wait, far longer than
-  // the timeout) makes every request infeasible at admission — the
-  // feasibility horizon rejects them typed instead of letting them age
-  // in the queue and expire as deadline misses.
+  // Deadline pressure: once the warm-up has measured the service time,
+  // a timeout of 10 us (below any batch-of-1 forward of the model) makes
+  // every request infeasible at admission — the feasibility horizon
+  // rejects them typed instead of letting them age in the queue and
+  // expire as deadline misses.
   {
     PointConfig pc;
     pc.workers = 1;
@@ -526,7 +507,8 @@ int main(int argc, char** argv) {
     pc.max_wait = 0.004;
     pc.requests = requests;
     pc.clients = 4;
-    pc.timeout = 0.002;
+    pc.timeout = 10e-6;
+    pc.warmup = 16;
     const auto r = run_closed(registry, pool, pc);
     add_row(rows, "deadline", pc, r);
   }

@@ -15,6 +15,16 @@ void SystemClock::sleep_for(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+void SystemClock::wait_until(std::condition_variable& cv,
+                             std::unique_lock<std::mutex>& lock,
+                             double deadline,
+                             const std::function<bool()>& ready) {
+  using namespace std::chrono;
+  const auto since_origin =
+      duration_cast<steady_clock::duration>(duration<double>(deadline));
+  cv.wait_until(lock, steady_clock::time_point(since_origin), ready);
+}
+
 SystemClock& SystemClock::instance() {
   static SystemClock clock;
   return clock;

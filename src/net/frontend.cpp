@@ -1,6 +1,7 @@
 #include "net/frontend.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,49 @@
 #include "net/fault.h"
 
 namespace satd::net {
+
+/// Wakes the loop's poll() when a ticket is answered. The loop sleeps
+/// only in poll(); a hook writes the eventfd only if it finds the loop
+/// asleep and first to do so, and otherwise just marks that the loop must
+/// look again before it next sleeps.
+class FrontEnd::Wakeup {
+ public:
+  Wakeup() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    if (!fd_.valid()) {
+      throw SocketError(std::string("eventfd: ") + std::strerror(errno));
+    }
+  }
+
+  int fd() const { return fd_.get(); }
+
+  /// The completion hook (any thread).
+  void notify() {
+    if (state_.exchange(kNotified) == kAsleep) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] const ssize_t n = ::write(fd_.get(), &one, sizeof(one));
+    }
+  }
+
+  /// Before poll(): false when a ticket was answered since the loop woke,
+  /// so the poll must not block.
+  bool sleep() { return state_.exchange(kAsleep) != kNotified; }
+
+  /// After poll(): the loop is awake; clears the eventfd if it fired. The
+  /// exchange also makes every answer a hook announced visible here.
+  void wake(bool fired) {
+    state_.exchange(kAwake);
+    if (fired) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(fd_.get(), &count, sizeof(count));
+    }
+  }
+
+ private:
+  enum State { kAwake, kAsleep, kNotified };
+  Fd fd_;
+  std::atomic<State> state_{kAwake};
+};
 
 FrontEnd::FrontEnd(FrontEndConfig config, FrontEndSink sink, Clock& clock)
     : config_(std::move(config)), sink_(std::move(sink)), clock_(clock) {
@@ -29,6 +73,7 @@ void FrontEnd::start() {
   if (config_.listen.kind == env::ListenAddress::Kind::kTcp) {
     port_ = local_port(listener_);
   }
+  wake_ = std::make_shared<Wakeup>();
   stop_.store(false);
   started_ = true;
   loop_ = std::thread([this] { run(); });
@@ -38,10 +83,12 @@ void FrontEnd::start() {
 void FrontEnd::stop() {
   if (!started_) return;
   stop_.store(true);
+  wake_->notify();
   if (loop_.joinable()) loop_.join();
   for (auto& c : conns_) close_conn(*c);
   conns_.clear();
   listener_.reset();
+  wake_.reset();  // hooks of tickets still in flight keep it open
   started_ = false;
 }
 
@@ -151,6 +198,7 @@ bool FrontEnd::service_read(Conn& conn) {
     p.request_id = req.request_id;
     p.ticket = sink_.submit(req.image, req.timeout, req.route_key, &p.shard,
                             &p.cancel_id);
+    p.ticket.on_ready([wake = wake_] { wake->notify(); });
     conn.pending.push_back(std::move(p));
     requests_.fetch_add(1);
   }
@@ -238,9 +286,13 @@ bool FrontEnd::flush(Conn& conn) {
 
 void FrontEnd::run() {
   std::vector<pollfd> pfds;
+  const int quantum_ms =
+      std::max(1, static_cast<int>(config_.poll_interval * 1000.0 + 0.5));
+  double last_tick = clock_.now();
   while (!stop_.load()) {
     pfds.clear();
     pfds.push_back({listener_.get(), POLLIN, 0});
+    pfds.push_back({wake_->fd(), POLLIN, 0});
     for (auto& c : conns_) {
       short events = 0;
       // Backpressure: a peer that will not drain its responses stops
@@ -251,18 +303,18 @@ void FrontEnd::run() {
       if (!c->outbuf.empty()) events |= POLLOUT;
       pfds.push_back({c->fd.get(), events, 0});
     }
-    const int timeout_ms =
-        std::max(1, static_cast<int>(config_.poll_interval * 1000.0 + 0.5));
-    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
+    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+           wake_->sleep() ? quantum_ms : 0);
+    wake_->wake(pfds[1].revents & POLLIN);
 
     if (pfds[0].revents & POLLIN) accept_new();
 
     const double now = clock_.now();
     for (std::size_t i = 0; i < conns_.size(); ++i) {
       Conn& conn = *conns_[i];
-      // pfds index i+1 only covers conns that existed when the poll set
-      // was built; fresh accepts are serviced next quantum.
-      const short revents = i + 1 < pfds.size() ? pfds[i + 1].revents : 0;
+      // pfds index i+2 only covers conns that existed when the poll set
+      // was built; fresh accepts are serviced next time round.
+      const short revents = i + 2 < pfds.size() ? pfds[i + 2].revents : 0;
       bool alive = true;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) alive = false;
       if (alive && (revents & POLLIN)) alive = service_read(conn);
@@ -289,7 +341,10 @@ void FrontEnd::run() {
       }
     }
 
-    if (sink_.tick) sink_.tick();
+    if (sink_.tick && now - last_tick >= config_.poll_interval) {
+      sink_.tick();
+      last_tick = now;
+    }
   }
 }
 

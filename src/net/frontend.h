@@ -2,14 +2,17 @@
 // SATDWIRE1 and feeds the serving stack's admission queue.
 //
 // One thread, no thread-per-connection, no thread-per-request: the loop
-// polls the listener plus every connection on a short quantum, reads
-// whatever bytes arrived, decodes complete request frames, and submits
-// them through a Sink (the shard router adapts itself into one). The
-// serve::Ticket returned by the sink is future-based; instead of parking
-// a thread on each future, the loop HARVESTS tickets with
-// Ticket::ready() every quantum and writes response frames as they
-// resolve. Responses therefore interleave freely on a connection —
-// request ids, not arrival order, correlate them.
+// polls the listener, an eventfd and every connection, reads whatever
+// bytes arrived, decodes complete request frames, and submits them
+// through a Sink (the shard router adapts itself into one). Instead of
+// parking a thread on each serve::Ticket, the loop gives every ticket a
+// completion hook that writes the eventfd, so the poll() wakes when a
+// batch finishes and the loop HARVESTS the answered tickets
+// (Ticket::ready()) and writes their response frames at once. The hooks
+// coalesce: at most one eventfd write per poll, and none while the loop
+// is awake. The poll timeout is left as the period of the sink's tick()
+// and of the slow-loris check. Responses interleave freely on a
+// connection — request ids, not arrival order, correlate them.
 //
 // Robustness posture (drilled by tests/net/):
 //   - Malformed input never crashes: framing damage poisons the decoder,
@@ -52,7 +55,7 @@ struct FrontEndConfig {
   std::size_t max_payload = kDefaultMaxPayload;
   std::size_t max_write_buffer = 4u << 20;  ///< backpressure cap per conn
   std::size_t max_connections = 64;
-  double poll_interval = 0.001;    ///< event-loop quantum (seconds)
+  double poll_interval = 0.001;    ///< tick()/slow-loris period (seconds)
 };
 
 /// Event-loop counters (atomics; readable while the loop runs).
@@ -81,7 +84,7 @@ struct FrontEndSink {
       submit;
   /// Cancel a queued request (abandoned connection). May be null.
   std::function<bool(std::uint32_t shard, std::uint64_t id)> cancel;
-  /// Called once per loop quantum (the router's rollout tick). May be
+  /// Called once per poll_interval (the router's rollout tick). May be
   /// null.
   std::function<void()> tick;
 };
@@ -100,8 +103,9 @@ class FrontEnd {
   /// SocketError when the address cannot be bound. Idempotent.
   void start();
 
-  /// Closes the listener and every connection (cancelling their pending
-  /// requests), then joins the loop. Idempotent; runs from the dtor.
+  /// Wakes and joins the loop, then closes the listener and every
+  /// connection (cancelling their pending requests). Idempotent; runs
+  /// from the dtor.
   void stop();
 
   /// Resolved TCP port (after start(); meaningful for port-0 binds).
@@ -110,6 +114,8 @@ class FrontEnd {
   FrontEndStats stats() const;
 
  private:
+  class Wakeup;
+
   struct Pending {
     std::uint64_t request_id = 0;   ///< wire id, echoed in the response
     serve::Ticket ticket;
@@ -141,6 +147,9 @@ class FrontEnd {
   FrontEndSink sink_;
   Clock& clock_;
   Fd listener_;
+  /// The loop's eventfd; completion hooks share it, so one that fires
+  /// after stop() writes an open descriptor.
+  std::shared_ptr<Wakeup> wake_;
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::thread loop_;

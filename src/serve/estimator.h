@@ -1,11 +1,9 @@
 // Online load and cost models for SLO-aware adaptive batching.
 //
-// The static (max_batch, max_wait) window has a pathology the committed
-// baseline records: under light load the window always waits out max_wait,
-// so enabling batching *lowers* throughput (closed_w1_b8 vs closed_w1_b1
-// in bench/baseline/BENCH_serve.json). The fix is to make the batcher
-// reason about whether waiting is predicted to raise goodput, which needs
-// two live estimates:
+// A window of fixed length waits out max_wait under light load for
+// arrivals that cannot come, so batching would *lower* throughput and
+// add latency. The batcher instead reasons about whether waiting is
+// predicted to raise goodput, which needs two live estimates:
 //
 //   ArrivalEstimator     — EWMA of the inter-arrival gap, fed on every
 //                          submit. expected_wait() additionally ages the

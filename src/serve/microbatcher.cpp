@@ -28,8 +28,6 @@ Microbatcher::Microbatcher(ModelRegistry& registry, std::string model_name,
   SATD_EXPECT(policy.max_batch > 0, "max_batch must be positive");
   SATD_EXPECT(policy.max_wait >= 0.0, "max_wait must be non-negative");
   SATD_EXPECT(policy.poll_interval > 0.0, "poll_interval must be positive");
-  SATD_EXPECT(!policy.adaptive || (arrivals && service),
-              "adaptive batching requires arrival and service estimators");
 }
 
 bool Microbatcher::step() {
@@ -39,14 +37,13 @@ bool Microbatcher::step() {
   bool urgent = first.urgent;
   staged_.push_back(std::move(first));
 
-  // Batching window. Static policy: keep popping until full or max_wait
-  // has elapsed. Adaptive policy: max_wait is only a hard cap — the
-  // window closes as soon as waiting is no longer predicted to raise
-  // goodput (keep_waiting), and an urgent request ends window forming
-  // outright. Available requests are always taken (a non-blocking pop
-  // costs no wall time). The deadline is measured on the injected clock,
-  // so a FakeClock test steps through the window in exact poll_interval
-  // quanta.
+  // Batching window: max_wait is only a hard cap — the window closes as
+  // soon as waiting is no longer predicted to raise goodput
+  // (keep_waiting), and an urgent request ends window forming outright.
+  // Available requests are always taken (a non-blocking pop costs no
+  // wall time). Each wait lasts until the next arrival, or one
+  // poll_interval on the injected clock, so a FakeClock test steps
+  // through the window in exact quanta.
   const double window_close = clock_.now() + policy_.max_wait;
   while (staged_.size() < policy_.max_batch && !urgent) {
     Request next;
@@ -56,9 +53,8 @@ bool Microbatcher::step() {
       continue;
     }
     const double now = clock_.now();
-    if (now >= window_close) break;
-    if (policy_.adaptive && !keep_waiting(now, window_close)) break;
-    clock_.sleep_for(policy_.poll_interval);
+    if (now >= window_close || !keep_waiting(now, window_close)) break;
+    if (!queue_.wait_for_work(now + policy_.poll_interval)) break;
   }
 
   serve_batch(staged_);
@@ -68,6 +64,7 @@ bool Microbatcher::step() {
 
 bool Microbatcher::keep_waiting(double now, double window_close) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!arrivals_ || !service_) return false;  // nothing to predict from
   const std::size_t b = staged_.size();
   const double sb = service_->predict(b);
 
@@ -96,10 +93,9 @@ bool Microbatcher::keep_waiting(double now, double window_close) const {
 }
 
 void Microbatcher::run() {
-  for (;;) {
-    if (step()) continue;
-    if (queue_.drained()) return;
-    clock_.sleep_for(policy_.idle_wait);
+  // Serve while there is work, block while the queue is idle, and exit
+  // once it is drained.
+  while (step() || queue_.wait_for_work()) {
   }
 }
 
@@ -138,7 +134,7 @@ void Microbatcher::serve_batch(std::vector<Request>& batch) {
       Response miss;
       miss.error = ServeError::kDeadlineMiss;
       miss.latency = now - req.submit_time;
-      req.promise.set_value(std::move(miss));
+      req.responder.respond(std::move(miss));
     } else {
       live.push_back(&req);
     }
@@ -154,7 +150,7 @@ void Microbatcher::serve_batch(std::vector<Request>& batch) {
       Response r;
       r.error = ServeError::kNoModel;
       r.latency = clock_.now() - req->submit_time;
-      req->promise.set_value(std::move(r));
+      req->responder.respond(std::move(r));
     }
     return;
   }
@@ -206,7 +202,7 @@ void Microbatcher::serve_batch(std::vector<Request>& batch) {
     r.latency = done - req->submit_time;
     stats_.record_served(r.latency);
     if (monitor_) monitor_->observe(req->image, r.predicted);
-    req->promise.set_value(std::move(r));
+    req->responder.respond(std::move(r));
   }
 }
 

@@ -1,44 +1,46 @@
 // Dynamic micro-batching: coalesces single-image requests into one
 // forward pass.
 //
-// The static policy is the classic (max_batch, max_wait) pair: on popping
-// the first request a worker opens a batching window of at most max_wait
-// seconds and keeps popping until the batch is full or the window closes,
-// then runs ONE workspace-based forward_into + softmax_into over the
-// coalesced [B, C, H, W] tensor and scatters per-request
-// probabilities/argmax back through each request's promise.
+// On popping the first request a worker opens a batching window, keeps
+// popping while requests are queued, then runs ONE workspace-based
+// forward_into + softmax_into over the coalesced [B, C, H, W] tensor and
+// scatters per-request probabilities/argmax back through each request's
+// responder.
 //
-// The adaptive policy (BatchPolicy::adaptive) keeps max_wait only as a
-// hard cap and decides *whether waiting is predicted to raise goodput*
-// from two live estimates (serve/estimator.h): the EWMA inter-arrival
-// gap and a per-batch-size service-time model learned online per model
-// version. With b requests staged and the queue empty, the window stays
-// open only while
+// The window is SLO-aware: max_wait is only a hard cap, and the window
+// stays open only while waiting is *predicted to raise goodput*, from two
+// live estimates (serve/estimator.h): the EWMA inter-arrival gap and a
+// per-batch-size service-time model learned online per model version.
+// With b requests staged and the queue empty, the window stays open only
+// while
 //
 //     (b+1) * s(b)  >  b * (w + s(b+1))
 //
 // — i.e. serving b now at rate b/s(b) is predicted to be beaten by
 // waiting the expected w seconds for one more and serving b+1 at rate
 // (b+1)/(w + s(b+1)). The window also closes when the predicted next
-// arrival lands past the max_wait cap, when no service-time data exists
-// (never speculate about an unmeasured model), when a staged deadline is
-// one poll quantum + predicted service away from busting (deadline
-// pressure), and the moment an URGENT request (queue priority lane) is
-// staged — tight-deadline work preempts window forming outright.
+// arrival lands past the max_wait cap, when no arrival or service-time
+// data exists (never speculate about an unmeasured load or model; a
+// Microbatcher built without estimators therefore never waits), when a
+// staged deadline is one poll quantum + predicted service away from
+// busting (deadline pressure), and the moment an URGENT request (queue
+// priority lane) is staged — tight-deadline work preempts window forming
+// outright.
 //
 // Numerics contract: the library's kernels compute each output row from
 // its input row alone (independent-output decomposition), so a request's
 // probabilities are bit-identical whether it was served in a batch of 1
 // or coalesced with 31 strangers — pinned by tests/serve. That is what
-// makes micro-batching safe to enable: it changes throughput, never
-// answers. The adaptive policy only changes batch *composition*, so the
-// contract is unaffected (re-pinned under adaptive in tests/serve).
+// makes micro-batching safe to enable: the window changes batch
+// *composition* and throughput, never answers.
 //
-// Time flows through the injected Clock; the window is a poll loop over
-// clock.sleep_for rather than a condition variable, so a FakeClock drives
-// the window/deadline state machine — including every adaptive close
-// decision, which reads only the clock and the deterministic estimators —
-// exactly in tests.
+// Waiting: an open window waits on the queue's condition variable for at
+// most one poll_interval, so an arrival re-evaluates the rule at once; an
+// idle worker blocks on the same variable until a request arrives or the
+// queue drains. Time flows through the injected Clock, so a FakeClock
+// drives the window/deadline state machine — every close decision reads
+// only the clock and the deterministic estimators, and each timed wait is
+// one recorded sleep — exactly in tests.
 #pragma once
 
 #include <cstdint>
@@ -59,19 +61,14 @@ namespace satd::serve {
 /// Coalescing policy.
 struct BatchPolicy {
   std::size_t max_batch = 8;      ///< hard batch-size cap
-  double max_wait = 0.002;        ///< seconds to hold an open window
-  double poll_interval = 0.0002;  ///< sleep granularity inside the window
-  double idle_wait = 0.0005;      ///< sleep when the queue is empty
+  double max_wait = 0.002;        ///< hard cap on an open window (seconds)
+  double poll_interval = 0.0002;  ///< longest wait before re-evaluating
   /// Serve with the snapshot's int8 QuantizedModel instead of a float
   /// replica. The per-row activation quantization keeps the batch-of-1
   /// invariance, so micro-batching stays answer-preserving in this mode
   /// too; predictions may differ from the float path within the pinned
   /// quantization tolerance (tests/nn/quantized_test.cpp).
   bool quantized = false;
-  /// SLO-aware window control (see file comment). Requires the arrival
-  /// and service-time estimators to be wired in; max_wait becomes a hard
-  /// cap instead of the default hold time.
-  bool adaptive = false;
 };
 
 /// One serving worker's batching loop. Each worker owns a Microbatcher —
@@ -80,9 +77,9 @@ struct BatchPolicy {
 class Microbatcher {
  public:
   /// `monitor` may be null (monitoring disabled). `arrivals`/`service`
-  /// may be null only when the policy is not adaptive; when present,
-  /// every served batch feeds the service-time model (tagged with the
-  /// replica version, so a hot swap resets the curve).
+  /// may be null: the window then never waits. When present, every
+  /// served batch feeds the service-time model (tagged with the replica
+  /// version, so a hot swap resets the curve).
   Microbatcher(ModelRegistry& registry, std::string model_name,
                RequestQueue& queue, ServerStats& stats, Clock& clock,
                BatchPolicy policy, RobustnessMonitor* monitor = nullptr,
@@ -94,16 +91,17 @@ class Microbatcher {
   /// was done). Exposed for deterministic single-threaded tests.
   bool step();
 
-  /// Runs step() until the queue is drained (begin_drain + backlog empty).
+  /// Runs step() until the queue is drained (begin_drain + backlog
+  /// empty), blocking on the queue while it is idle.
   void run();
 
   /// Version of the replica that served the last batch (0 = none yet).
   std::uint64_t replica_version() const { return replica_version_; }
 
  private:
-  /// Adaptive close decision with the queue momentarily empty and
-  /// staged_ holding the current batch; true = spend one more poll
-  /// quantum waiting (see file comment for the rule).
+  /// Window close decision with the queue momentarily empty and staged_
+  /// holding the current batch; true = wait up to one more poll quantum
+  /// (see file comment for the rule).
   bool keep_waiting(double now, double window_close) const;
 
   void refresh_replica();

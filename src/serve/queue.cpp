@@ -22,7 +22,7 @@ Ticket RequestQueue::submit(const Tensor& image, double deadline,
   const double now = clock_.now();
   ServeError reject = ServeError::kNone;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const std::size_t depth = urgent_.size() + queue_.size();
     // The feasibility horizon: static slack plus whatever the serving
     // policy currently expects window + service to cost. A request whose
@@ -45,9 +45,11 @@ Ticket RequestQueue::submit(const Tensor& image, double deadline,
       req.urgent = deadline != 0.0 && config_.urgent_slack > 0.0 &&
                    deadline - now < config_.urgent_slack;
       if (id_out) *id_out = req.id;
-      Ticket ticket(req.promise.get_future());
+      Ticket ticket = req.responder.make_ticket();
       (req.urgent ? urgent_ : queue_).push_back(std::move(req));
       stats_.observe_queue_depth(depth + 1);
+      lock.unlock();
+      work_.notify_one();
       return ticket;
     }
   }
@@ -74,13 +76,13 @@ bool RequestQueue::cancel(std::uint64_t id) {
     }
   }
   if (!found) return false;
-  // Resolve outside the lock: a waiter woken by set_value must never
+  // Resolve outside the lock: a waiter woken by respond() must never
   // contend with the queue mutex we still hold.
   stats_.record_error(ServeError::kCancelled);
   Response r;
   r.error = ServeError::kCancelled;
   r.latency = clock_.now() - victim.submit_time;
-  victim.promise.set_value(std::move(r));
+  victim.responder.respond(std::move(r));
   return true;
 }
 
@@ -98,9 +100,25 @@ std::size_t RequestQueue::depth() const {
   return urgent_.size() + queue_.size();
 }
 
+bool RequestQueue::wait_for_work(double deadline) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto workable = [this] {
+    return draining_ || !urgent_.empty() || !queue_.empty();
+  };
+  if (deadline < std::numeric_limits<double>::infinity()) {
+    clock_.wait_until(work_, lock, deadline, workable);
+  } else {
+    work_.wait(lock, workable);
+  }
+  return !(draining_ && urgent_.empty() && queue_.empty());
+}
+
 void RequestQueue::begin_drain() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  draining_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    draining_ = true;
+  }
+  work_.notify_all();
 }
 
 bool RequestQueue::draining() const {

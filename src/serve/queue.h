@@ -32,13 +32,19 @@
 // Shutdown is drain-then-stop: begin_drain() closes admission but every
 // already-admitted request stays poppable, so workers finish the backlog
 // before exiting (drained() flips true only when draining AND empty).
-// Time flows through an injected Clock so tests drive deadline semantics
-// with a FakeClock.
+//
+// Waiting: a worker with nothing to do blocks in wait_for_work() on the
+// queue's condition variable, which submit() and begin_drain() signal, so
+// a request is popped when it arrives rather than at the end of a sleep.
+// Time flows through an injected Clock — a timed wait included — so tests
+// drive deadline semantics and batching windows with a FakeClock.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 
 #include "common/clock.h"
@@ -88,6 +94,13 @@ class RequestQueue {
   /// Non-blocking: returns false when empty.
   bool pop(Request& out);
 
+  /// Blocks until a request is poppable or admission has closed, or —
+  /// when `deadline` is finite — until the clock reaches it. Returns
+  /// false once drained(): nothing is queued and nothing more will be
+  /// admitted.
+  bool wait_for_work(
+      double deadline = std::numeric_limits<double>::infinity());
+
   std::size_t depth() const;
 
   /// Closes admission; the backlog remains poppable.
@@ -103,6 +116,7 @@ class RequestQueue {
   ServerStats& stats_;
   Clock& clock_;
   mutable std::mutex mutex_;
+  std::condition_variable work_;  ///< signalled by submit and begin_drain
   std::deque<Request> urgent_;  ///< priority lane (popped first)
   std::deque<Request> queue_;
   std::uint64_t next_id_ = 1;   ///< admission ids (0 = invalid)

@@ -10,11 +10,10 @@ namespace satd::serve {
 
 RobustnessMonitor::RobustnessMonitor(ModelRegistry& registry,
                                      std::string model_name,
-                                     MonitorConfig config, Clock& clock)
+                                     MonitorConfig config)
     : registry_(registry),
       model_name_(std::move(model_name)),
       config_(config),
-      clock_(clock),
       bim_(config.eps, config.iterations) {
   SATD_EXPECT(config.sample_period > 0, "sample_period must be positive");
   SATD_EXPECT(config.max_pending > 0, "max_pending must be positive");
@@ -29,13 +28,16 @@ RobustnessMonitor::~RobustnessMonitor() { stop(); }
 void RobustnessMonitor::observe(const Tensor& image, std::size_t predicted) {
   const std::uint64_t n = observed_.fetch_add(1, std::memory_order_relaxed);
   if ((n + 1) % config_.sample_period != 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (pending_.size() >= config_.max_pending) {
-    ++dropped_;
-    return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pending_.size() >= config_.max_pending) {
+      ++dropped_;
+      return;
+    }
+    ++sampled_;
+    pending_.push_back(Sample{image, predicted});
   }
-  ++sampled_;
-  pending_.push_back(Sample{image, predicted});
+  work_.notify_one();
 }
 
 bool RobustnessMonitor::step() {
@@ -108,20 +110,32 @@ void RobustnessMonitor::probe(const Sample& sample) {
 void RobustnessMonitor::start() {
   if (started_) return;
   started_ = true;
-  stop_.store(false);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = false;
+  }
   worker_ = std::thread([this] { run(); });
 }
 
 void RobustnessMonitor::stop() {
   if (!started_) return;
-  stop_.store(true);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  work_.notify_all();
   if (worker_.joinable()) worker_.join();
   started_ = false;
 }
 
 void RobustnessMonitor::run() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (!step()) clock_.sleep_for(config_.idle_wait);
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_.wait(lock, [this] { return stop_ || !pending_.empty(); });
+      if (stop_) return;
+    }
+    step();
   }
 }
 

@@ -25,9 +25,13 @@
 //     change any response (pinned by tests/serve/monitor_test.cpp).
 //   - The pending buffer is bounded: when the probe worker falls behind,
 //     samples are dropped (and counted), never queued unboundedly.
+//   - The probe worker blocks on a condition variable while nothing is
+//     pending; observe() signals it for each sample it buffers, and
+//     stop() to end it. An idle monitor costs no wakeups.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,7 +42,6 @@
 #include <vector>
 
 #include "attack/bim.h"
-#include "common/clock.h"
 #include "nn/sequential.h"
 #include "serve/registry.h"
 
@@ -55,7 +58,6 @@ struct MonitorConfig {
   std::size_t window = 64;         ///< rolling window of probe outcomes
   float collapse_fraction = 0.5f;  ///< alarm when fraction < this * best
   float min_baseline = 0.2f;       ///< arm only after best >= this
-  double idle_wait = 0.001;        ///< worker sleep when nothing pending
 };
 
 /// Point-in-time monitor state.
@@ -73,8 +75,7 @@ struct MonitorReport {
 class RobustnessMonitor {
  public:
   RobustnessMonitor(ModelRegistry& registry, std::string model_name,
-                    MonitorConfig config,
-                    Clock& clock = SystemClock::instance());
+                    MonitorConfig config);
   ~RobustnessMonitor();
 
   RobustnessMonitor(const RobustnessMonitor&) = delete;
@@ -129,14 +130,14 @@ class RobustnessMonitor {
   ModelRegistry& registry_;
   std::string model_name_;
   MonitorConfig config_;
-  Clock& clock_;
 
   std::atomic<std::uint64_t> observed_{0};
-  std::atomic<bool> stop_{false};
   std::thread worker_;
   bool started_ = false;
 
   mutable std::mutex mutex_;              // guards everything below
+  std::condition_variable work_;          // a sample is pending, or stop
+  bool stop_ = false;
   std::deque<Sample> pending_;
   std::size_t sampled_ = 0;
   std::size_t dropped_ = 0;

@@ -19,23 +19,17 @@ Server::Server(ModelRegistry& registry, ServerConfig config, Clock& clock)
   SATD_EXPECT(config_.workers > 0, "server needs at least one worker");
   if (config_.enable_monitor) {
     monitor_ = std::make_unique<RobustnessMonitor>(
-        registry_, config_.model_name, config_.monitor, clock_);
+        registry_, config_.model_name, config_.monitor);
   }
 }
 
 Server::~Server() { drain(); }
 
 double Server::feasibility_horizon() {
-  if (config_.batch.adaptive) {
-    // The adaptive window: expected coalescing wait at the current
-    // arrival rate plus the predicted service time of the planned batch.
-    return service_.expected_delay(arrivals_.expected_gap(),
-                                   config_.batch.max_wait);
-  }
-  // The static window waits out max_wait whenever the batch does not
-  // fill, which is exactly the light-load case where feasibility
-  // matters; add the measured cost of the largest batch on top.
-  return config_.batch.max_wait + service_.predict(config_.batch.max_batch);
+  // Expected coalescing wait at the current arrival rate plus the
+  // predicted service time of the planned batch.
+  return service_.expected_delay(arrivals_.expected_gap(),
+                                 config_.batch.max_wait);
 }
 
 void Server::start() {

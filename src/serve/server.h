@@ -70,17 +70,16 @@ class Server {
 
   ServerStats& stats() { return stats_; }
   RequestQueue& queue() { return queue_; }
-  /// Live load/cost models feeding the adaptive policy and the queue's
-  /// feasibility horizon (always maintained, even under the static
-  /// policy — admission uses them either way).
+  /// Live load/cost models feeding the batching window and the queue's
+  /// feasibility horizon.
   ArrivalEstimator& arrivals() { return arrivals_; }
   ServiceTimeEstimator& service_model() { return service_; }
   /// Null unless enable_monitor was set.
   RobustnessMonitor* monitor() { return monitor_.get(); }
 
  private:
-  /// Expected window + service delay under the configured policy; the
-  /// queue adds it to min_slack when judging deadline feasibility.
+  /// Expected window + service delay; the queue adds it to min_slack
+  /// when judging deadline feasibility.
   double feasibility_horizon();
 
   ModelRegistry& registry_;

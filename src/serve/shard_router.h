@@ -124,8 +124,8 @@ class ShardRouter {
 
   /// Runs the rollout state machine once: canary alarm -> rollback,
   /// clean window + soak -> promote, serving-shard alarm -> eject.
-  /// Call periodically (the network front end ticks it on its poll
-  /// quantum); cheap when nothing changed.
+  /// Call periodically (the network front end ticks it once per
+  /// poll_interval); cheap when nothing changed.
   void tick();
 
   /// Returns an EJECTED or DRAINING shard to SERVING (monitor reset).

@@ -7,9 +7,9 @@
 // resolve when a serving worker completes (or expires) them.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <future>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -40,50 +40,79 @@ struct Response {
   double latency = 0.0;               ///< seconds from submit to response
 };
 
+namespace detail {
+struct TicketState;  ///< what a Ticket and its Responder share
+}  // namespace detail
+
+/// Client handle for one submitted request. wait() blocks until the
+/// server answers it (rejections are answered at once). A completion hook
+/// lets an event loop learn of the answer without polling: the socket
+/// front end's hook wakes its poll().
+class Ticket {
+ public:
+  Ticket() = default;
+
+  bool valid() const { return state_ != nullptr; }
+
+  /// True once the response is available — wait() would not block.
+  bool ready() const;
+
+  /// Blocks for the response. One-shot: the ticket is invalid afterwards.
+  Response wait();
+
+  /// Runs `hook` once the response is available: at once, on this
+  /// thread, if it already is; otherwise on the thread that answers the
+  /// ticket, after wait() can return. One hook per ticket; it must not
+  /// block or throw.
+  void on_ready(std::function<void()> hook);
+
+ private:
+  friend class Responder;
+  std::shared_ptr<detail::TicketState> state_;
+};
+
+/// The serving half of a Ticket: answers it exactly once. Move-only. A
+/// responder destroyed unanswered answers kStopping, so no ticket waits
+/// forever on a request that was dropped.
+class Responder {
+ public:
+  Responder() = default;  ///< bound to no ticket
+  Responder(Responder&& other) noexcept = default;
+  Responder& operator=(Responder&& other) noexcept;
+  ~Responder();
+
+  /// Binds this responder to a new, unanswered ticket and returns it.
+  Ticket make_ticket();
+
+  /// Answers the ticket: wakes wait(), then runs the completion hook.
+  void respond(Response response);
+
+ private:
+  void abandon();  ///< answers kStopping if still unanswered
+
+  std::shared_ptr<detail::TicketState> state_;
+};
+
 /// One admitted unit of work inside the queue. Move-only (owns the
-/// client's promise).
+/// responder that answers the client's ticket).
 struct Request {
   Tensor image;           ///< single example, e.g. [1, 28, 28]
   std::uint64_t id = 0;   ///< queue-assigned admission id (cancellation key)
   double submit_time = 0; ///< clock time at admission
   double deadline = 0;    ///< absolute clock time; 0 = no deadline
   bool urgent = false;    ///< priority lane (slack < queue urgent_slack)
-  std::promise<Response> promise;
+  Responder responder;
 };
 
-/// Client handle for one submitted request. wait() blocks until the
-/// server resolves it (rejections resolve immediately).
-class Ticket {
- public:
-  Ticket() = default;
-  explicit Ticket(std::future<Response> future)
-      : future_(std::move(future)) {}
+/// Builds a ticket that is already answered with `response` (admission
+/// rejections, and sinks that answer synchronously).
+Ticket resolved_ticket(Response response);
 
-  bool valid() const { return future_.valid(); }
-
-  /// True once the response is available — wait() would not block. The
-  /// network front end's event loop harvests resolved tickets with this
-  /// instead of parking a thread per request.
-  bool ready() const {
-    return future_.valid() &&
-           future_.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-  }
-
-  /// Blocks for the response. One-shot: the ticket is invalid afterwards.
-  Response wait() { return future_.get(); }
-
- private:
-  std::future<Response> future_;
-};
-
-/// Builds a pre-resolved ticket (used for admission rejections).
+/// A ticket already answered with the typed admission error `error`.
 inline Ticket rejected_ticket(ServeError error) {
-  std::promise<Response> p;
   Response r;
   r.error = error;
-  p.set_value(std::move(r));
-  return Ticket(p.get_future());
+  return resolved_ticket(std::move(r));
 }
 
 }  // namespace satd::serve

@@ -1,10 +1,13 @@
 // Front-end tests over real unix/TCP sockets: request/response flow,
 // ephemeral-port binds, typed rejects for malformed and oversized
 // frames, the slow-loris read deadline, the connection limit, pipelined
-// requests on one connection, and cancellation of requests abandoned by
-// a dying connection.
+// requests on one connection, cancellation of requests abandoned by a
+// dying connection, and completion wakeups (a response goes out when its
+// ticket is answered, and a hook that fires after stop() writes no
+// closed descriptor).
 #include "net/frontend.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <unistd.h>
@@ -12,14 +15,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "net/client.h"
 #include "net/fault.h"
+#include "nn/zoo.h"
+#include "serve/server.h"
 
 namespace satd::net {
 namespace {
@@ -41,13 +47,11 @@ FrontEndSink instant_sink() {
                    std::uint32_t* shard_out, std::uint64_t* id_out) {
     if (shard_out) *shard_out = 0;
     if (id_out) *id_out = 0;
-    std::promise<serve::Response> p;
     serve::Response r;
     r.predicted = image.numel();
     r.model_version = 7;
     r.probabilities = {0.25f, 0.75f};
-    p.set_value(std::move(r));
-    return serve::Ticket(p.get_future());
+    return serve::resolved_ticket(std::move(r));
   };
   return sink;
 }
@@ -247,7 +251,7 @@ TEST(FrontEnd, ConnectionLimitGetsOverloadedReject) {
   Fd first = connect_socket(cfg.listen, 2.0, err);
   ASSERT_TRUE(first.valid()) << err;
   // Prove the first connection is actually registered before the second
-  // arrives (the accept loop runs on the poll quantum).
+  // arrives (a fresh accept joins the poll set on the loop's next pass).
   {
     RequestFrame req;
     req.request_id = 1;
@@ -311,13 +315,13 @@ TEST(FrontEnd, AbandonedConnectionCancelsItsPendingRequests) {
   // client vanishes, at which point the cancel hook must fire.
   std::atomic<int> cancels{0};
   FrontEndSink sink;
-  // The promise must outlive the ticket; park it in a shared_ptr.
-  auto parked = std::make_shared<std::promise<serve::Response>>();
+  // The responder must outlive the ticket; park it in a shared_ptr.
+  auto parked = std::make_shared<serve::Responder>();
   sink.submit = [parked](const Tensor&, double, std::uint64_t,
                          std::uint32_t* shard_out, std::uint64_t* id_out) {
     if (shard_out) *shard_out = 3;
     if (id_out) *id_out = 99;  // admitted: cancellable
-    return serve::Ticket(parked->get_future());
+    return parked->make_ticket();
   };
   sink.cancel = [&cancels](std::uint32_t shard, std::uint64_t id) {
     EXPECT_EQ(shard, 3u);
@@ -357,6 +361,95 @@ TEST(FrontEnd, AbandonedConnectionCancelsItsPendingRequests) {
   }
   EXPECT_EQ(fe.stats().cancelled, 1u);
   fe.stop();
+}
+
+TEST(FrontEnd, ResponseGoesOutWhenItsBatchFinishesNotAtTheNextPoll) {
+  // A real server answers on its worker thread, after the front end has
+  // gone back to poll(). With a 2 s poll timeout, only the completion
+  // wakeup can bring the response back in well under a second.
+  serve::ModelRegistry registry;
+  {
+    Rng rng(3);
+    nn::Sequential m = nn::zoo::build("mlp_small", rng);
+    registry.publish("m", m, "mlp_small");
+  }
+  serve::ServerConfig scfg;
+  scfg.model_name = "m";
+  serve::Server server(registry, scfg);
+  server.start();
+  FrontEndSink sink;
+  sink.submit = [&server](const Tensor& image, double timeout,
+                          std::uint64_t, std::uint32_t* shard_out,
+                          std::uint64_t* id_out) {
+    if (shard_out) *shard_out = 0;
+    return server.submit(image, timeout, id_out);
+  };
+
+  FrontEndConfig cfg;
+  cfg.listen = unix_addr("fe_wakeup.sock");
+  cfg.poll_interval = 2.0;
+  FrontEnd fe(cfg, sink);
+  fe.start();
+
+  Client client(client_for(cfg.listen));
+  const auto t0 = std::chrono::steady_clock::now();
+  const ClientResult r =
+      client.request(Tensor::full(Shape{1, 28, 28}, 0.5f));
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_TRUE(r.ok()) << to_string(r.error) << ": " << r.detail;
+  EXPECT_LT(elapsed, 0.5);
+  fe.stop();
+  server.drain();
+}
+
+TEST(FrontEnd, AnswerAfterStopWritesNoClosedDescriptor) {
+  // The ticket is answered only after stop(). Its completion hook must
+  // touch the front end's own, still open eventfd: had stop() closed it,
+  // one of the pipes opened below would now own its number, and the
+  // hook's write would land there.
+  auto parked = std::make_shared<serve::Responder>();
+  FrontEndSink sink;
+  sink.submit = [parked](const Tensor&, double, std::uint64_t,
+                         std::uint32_t* shard_out, std::uint64_t* id_out) {
+    if (shard_out) *shard_out = 0;
+    if (id_out) *id_out = 0;  // nothing to cancel at close
+    return parked->make_ticket();
+  };
+  FrontEndConfig cfg;
+  cfg.listen = unix_addr("fe_late_answer.sock");
+  FrontEnd fe(cfg, sink);
+  fe.start();
+
+  std::string err;
+  Fd fd = connect_socket(cfg.listen, 2.0, err);
+  ASSERT_TRUE(fd.valid()) << err;
+  RequestFrame req;
+  req.request_id = 1;
+  req.image = tiny_image();
+  send_raw(fd, encode_request(req));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fe.stats().requests < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fe.stop();
+
+  std::vector<Fd> readers, writers;
+  for (int i = 0; i < 16; ++i) {
+    int ends[2];
+    ASSERT_EQ(::pipe2(ends, O_NONBLOCK | O_CLOEXEC), 0);
+    readers.emplace_back(ends[0]);
+    writers.emplace_back(ends[1]);
+  }
+  parked->respond(serve::Response{});
+  for (const Fd& r : readers) {
+    char byte;
+    EXPECT_EQ(::read(r.get(), &byte, 1), -1);
+    EXPECT_EQ(errno, EAGAIN);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// The SLO-aware adaptive batching policy, pinned exactly on a FakeClock:
+// The SLO-aware adaptive batching window, pinned exactly on a FakeClock:
 // every window-close decision reads only the injected clock and the
-// deterministic estimators, so scripted arrival patterns (burst, trickle,
-// bimodal mid-window arrivals) must produce exact sleep counts and batch
-// compositions. Also: priority-lane preemption, deadline pressure,
-// estimator reset through a hot swap, and the bit-identity contract
-// re-pinned under the adaptive policy (single-threaded and at 1/2/4
-// workers).
+// deterministic estimators, and every timed wait is one recorded sleep,
+// so scripted arrival patterns (burst, trickle, bimodal mid-window
+// arrivals) must produce exact sleep counts and batch compositions. Also:
+// priority-lane preemption, deadline pressure, estimator reset through a
+// hot swap, and the bit-identity contract with the estimators wired in
+// (single-threaded and at 1/2/4 workers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,13 +45,12 @@ struct AdaptiveHarness {
   Microbatcher batcher;
 };
 
-/// max_batch 4, hard cap 10 ms, 1 ms poll quanta, adaptive.
+/// max_batch 4, hard cap 10 ms, 1 ms poll quanta.
 BatchPolicy adaptive_policy(std::size_t max_batch = 4) {
   BatchPolicy p;
   p.max_batch = max_batch;
   p.max_wait = 0.01;
   p.poll_interval = 0.001;
-  p.adaptive = true;
   return p;
 }
 
@@ -79,10 +78,9 @@ void seed_fast_arrivals_sublinear_service(AdaptiveHarness& h) {
 }
 
 TEST(Adaptive, TrickleClosesImmediatelyInsteadOfWaitingOutTheWindow) {
-  // The baseline inversion: under a 50 ms arrival gap the static window
-  // waits out all of max_wait for nobody. The adaptive window predicts
-  // the next arrival beyond the cap and serves the lone request with
-  // ZERO sleeps.
+  // The inversion a fixed window had: under a 50 ms arrival gap it waited
+  // out all of max_wait for nobody. The adaptive window predicts the next
+  // arrival beyond the cap and serves the lone request with ZERO sleeps.
   AdaptiveHarness h(adaptive_policy());
   publish(h.registry, 1);
   h.arrivals.observe_arrival(9.95);
@@ -234,7 +232,7 @@ TEST(Adaptive, ServiceCurveResetsOnHotSwap) {
 }
 
 TEST(Adaptive, BatchedIsBitIdenticalToBatchOfOne) {
-  // The bit-identity contract survives the adaptive policy: a burst
+  // The bit-identity contract survives the adaptive window: a burst
   // coalesced adaptively must equal the same six images served alone.
   const Tensor images = test_images(6);
 
@@ -272,9 +270,8 @@ TEST(Adaptive, BatchedIsBitIdenticalToBatchOfOne) {
 
 TEST(Adaptive, ServerBitIdenticalAtOneTwoFourWorkers) {
   // End-to-end (real clock, real threads): the adaptive server at 1/2/4
-  // workers serves every request bit-identical to a lone forward pass,
-  // exactly like the static server test — the policy only reshapes batch
-  // composition, never answers.
+  // workers serves every request bit-identical to a lone forward pass —
+  // the window only reshapes batch composition, never answers.
   data::SyntheticConfig dcfg;
   dcfg.train_size = 8;
   dcfg.test_size = 1;
@@ -299,7 +296,6 @@ TEST(Adaptive, ServerBitIdenticalAtOneTwoFourWorkers) {
     cfg.workers = workers;
     cfg.batch.max_batch = 4;
     cfg.batch.max_wait = 0.001;
-    cfg.batch.adaptive = true;
     Server server(registry, cfg);
     server.start();
 

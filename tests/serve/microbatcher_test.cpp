@@ -1,6 +1,7 @@
-// Deterministic single-threaded microbatcher tests: the (max_batch,
-// max_wait) window on a FakeClock, deadline filtering, hot-swap at batch
-// boundaries, and the batched == batch-of-1 bit-identity contract.
+// Deterministic single-threaded microbatcher tests on a FakeClock, with no
+// arrival or service estimators wired in (so the window never waits):
+// max_batch, deadline filtering, hot-swap at batch boundaries, and the
+// batched == batch-of-1 bit-identity contract.
 #include "serve/microbatcher.h"
 
 #include <gtest/gtest.h>
@@ -83,15 +84,15 @@ TEST(Microbatcher, ServesASingleRequest) {
   }
 }
 
-TEST(Microbatcher, WindowHoldsExactlyMaxWaitInPollQuanta) {
-  // One request, a batch that can't fill: the window must poll in
-  // poll_interval steps until exactly max_wait has elapsed, then serve.
+TEST(Microbatcher, LoneRequestWithNoArrivalDataIsServedWithZeroSleeps) {
+  // One request, a batch that can't fill, and nothing that predicts a
+  // neighbour (no arrival or service data): the window closes at once
+  // instead of waiting out max_wait for nobody.
   Harness h(policy(4, 0.002, 0.0005));
   publish(h.registry, 1);
   Ticket t = h.queue.submit(test_images(1).slice_row(0));
   ASSERT_TRUE(h.batcher.step());
-  EXPECT_EQ(h.clock.sleeps().size(), 4u);  // 4 x 0.0005 = max_wait
-  for (double s : h.clock.sleeps()) EXPECT_DOUBLE_EQ(s, 0.0005);
+  EXPECT_TRUE(h.clock.sleeps().empty());
   EXPECT_EQ(t.wait().batch_size, 1u);
 }
 
@@ -154,8 +155,8 @@ TEST(Microbatcher, BatchedIsBitIdenticalToBatchOfOne) {
 }
 
 TEST(Microbatcher, ExpiredDeadlinesAreFilteredNotServed) {
-  // Request A's deadline passes while the window waits for the batch to
-  // fill; it must resolve as kDeadlineMiss while B (no deadline) is
+  // Request A's deadline passes while it is queued (the worker was busy
+  // elsewhere); it must resolve as kDeadlineMiss while B (no deadline) is
   // served normally.
   Harness h(policy(4, 0.004, 0.002));
   publish(h.registry, 1);
@@ -163,7 +164,8 @@ TEST(Microbatcher, ExpiredDeadlinesAreFilteredNotServed) {
   Ticket a = h.queue.submit(images.slice_row(0), /*deadline=*/0.003);
   Ticket b = h.queue.submit(images.slice_row(1));
 
-  ASSERT_TRUE(h.batcher.step());  // window advances the clock past 0.003
+  h.clock.advance(0.004);  // past A's deadline before the worker pops
+  ASSERT_TRUE(h.batcher.step());
   Response ra = a.wait();
   EXPECT_EQ(ra.error, ServeError::kDeadlineMiss);
   EXPECT_TRUE(ra.probabilities.empty());

@@ -299,9 +299,7 @@ TEST(Monitor, StartAndStopAreIdempotent) {
   ModelRegistry registry;
   nn::Sequential m = zero_model();
   registry.publish("m", m, "mlp_small");
-  MonitorConfig cfg = probe_every_request();
-  cfg.idle_wait = 0.0001;
-  RobustnessMonitor monitor(registry, "m", cfg);
+  RobustnessMonitor monitor(registry, "m", probe_every_request());
   monitor.start();
   monitor.start();
   monitor.observe(uniform_image(), 0);

@@ -31,7 +31,7 @@ TEST(Queue, SubmitThenPopRoundTrips) {
 
   Response r;
   r.predicted = 7;
-  req.promise.set_value(r);
+  req.responder.respond(r);
   EXPECT_EQ(t.wait().predicted, 7u);
 }
 
@@ -166,7 +166,7 @@ TEST(Queue, CancelFreesTheSlotAndResolvesTyped) {
   EXPECT_EQ(h.queue.depth(), 1u);
   Request req;
   ASSERT_TRUE(h.queue.pop(req));
-  req.promise.set_value(Response{});
+  req.responder.respond(Response{});
   EXPECT_EQ(again.wait().error, ServeError::kNone);
 }
 
@@ -179,7 +179,7 @@ TEST(Queue, CancelAfterPopIsABenignNoOp) {
   EXPECT_FALSE(h.queue.cancel(id));  // already in flight
   Response r;
   r.predicted = 3;
-  req.promise.set_value(r);  // served into the (still live) ticket
+  req.responder.respond(r);  // served into the (still live) ticket
   EXPECT_EQ(t.wait().predicted, 3u);
 }
 
@@ -223,6 +223,62 @@ TEST(Queue, DepthHighWaterMarkIsTracked) {
   h.queue.pop(req);
   h.queue.submit(image());
   EXPECT_EQ(h.stats.snapshot().max_queue_depth, 3u);
+}
+
+TEST(Queue, TimedWaitForWorkIsOneFakeClockSleep) {
+  QueueHarness h;  // clock at 100
+  EXPECT_TRUE(h.queue.wait_for_work(/*deadline=*/100.25));
+  ASSERT_EQ(h.clock.sleeps().size(), 1u);
+  EXPECT_DOUBLE_EQ(h.clock.now(), 100.25);
+}
+
+TEST(Queue, WaitForWorkReportsDrainedOnceTheBacklogIsGone) {
+  QueueHarness h;
+  Ticket t = h.queue.submit(image());
+  h.queue.begin_drain();
+  EXPECT_TRUE(h.queue.wait_for_work());  // backlog left: returns at once
+  Request req;
+  ASSERT_TRUE(h.queue.pop(req));
+  EXPECT_FALSE(h.queue.wait_for_work());  // drained: returns at once
+  EXPECT_TRUE(h.clock.sleeps().empty());
+}
+
+TEST(Ticket, HookRegisteredAfterTheAnswerFiresAtOnce) {
+  Response answer;
+  answer.predicted = 5;
+  Ticket t = resolved_ticket(std::move(answer));
+  int fired = 0;
+  t.on_ready([&fired] { ++fired; });
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(t.wait().predicted, 5u);
+}
+
+TEST(Ticket, HookFiresOnceWhenTheAnswerLands) {
+  QueueHarness h;
+  Ticket t = h.queue.submit(image());
+  int fired = 0;
+  t.on_ready([&fired] { ++fired; });
+  EXPECT_EQ(fired, 0);
+  EXPECT_FALSE(t.ready());
+
+  Request req;
+  ASSERT_TRUE(h.queue.pop(req));
+  req.responder.respond(Response{});
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(t.ready());
+  EXPECT_EQ(t.wait().error, ServeError::kNone);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Ticket, RequestDroppedUnansweredAnswersStopping) {
+  // A queue destroyed with its backlog (a server that never started)
+  // must not leave a client waiting forever.
+  Ticket t;
+  {
+    QueueHarness h;
+    t = h.queue.submit(image());
+  }
+  EXPECT_EQ(t.wait().error, ServeError::kStopping);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Threaded end-to-end server tests (real SystemClock): bit-identical
-// serving at 1/2/4 workers, graceful drain, typed overload rejection and
-// hot-swap consistency under concurrent load.
+// serving at 1/2/4 workers, graceful drain, typed overload rejection,
+// hot-swap consistency under concurrent load, and wakeups: a request is
+// served when it arrives, and no wakeup is lost.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,11 @@ std::vector<std::vector<float>> reference_probs(ModelRegistry& registry,
     out[i].assign(probs.raw(), probs.raw() + probs.numel());
   }
   return out;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 TEST(Server, BitIdenticalServingAtOneTwoFourWorkers) {
@@ -127,8 +134,7 @@ TEST(Server, OverloadYieldsTypedRejectionsNotBlocking) {
   ServerConfig cfg;
   cfg.model_name = "m";
   cfg.workers = 1;
-  cfg.queue.capacity = 8;
-  cfg.batch.max_wait = 0.002;  // slow the worker so the queue can fill
+  cfg.queue.capacity = 8;  // 256 instant submits outpace the forwards
   Server server(registry, cfg);
   server.start();
 
@@ -223,11 +229,11 @@ TEST(Server, HotSwapUnderLoadNeverTearsAResponse) {
 }
 
 TEST(Server, HopelessDeadlineIsRejectedAtAdmission) {
-  // A window far longer than the timeout and a batch that can't fill:
-  // the request could only be served dead. The feasibility horizon
-  // (expected window + service) now catches this AT ADMISSION — the
-  // request is rejected kDeadlineInfeasible instead of being admitted,
-  // aged in the queue, and counted as a deadline miss.
+  // A measured batch-of-1 service time far longer than the timeout: the
+  // request could only be served dead. The feasibility horizon (expected
+  // window + predicted service) catches this AT ADMISSION — the request
+  // is rejected kDeadlineInfeasible instead of being admitted, aged in
+  // the queue, and counted as a deadline miss.
   const Tensor pool = image_pool(2);
   ModelRegistry registry;
   publish_seeded(registry, "m", 5);
@@ -237,6 +243,9 @@ TEST(Server, HopelessDeadlineIsRejectedAtAdmission) {
   cfg.batch.max_batch = 16;
   cfg.batch.max_wait = 0.05;
   Server server(registry, cfg);
+  // 50 ms per lone request on the published version. With no arrival
+  // data the plan is to serve alone, so the horizon is that 50 ms.
+  server.service_model().observe(registry.current("m")->version, 1, 0.05);
   server.start();
 
   Response r = server.submit(pool.slice_row(0), /*timeout=*/0.005).wait();
@@ -266,6 +275,65 @@ TEST(Server, FeasibleDeadlineIsAdmittedAndServed) {
   EXPECT_EQ(r.error, ServeError::kNone);
   server.drain();
   EXPECT_EQ(server.stats().snapshot().served, 1u);
+}
+
+TEST(Server, LoneRequestIsNotHeldForMaxWait) {
+  // max_wait is a cap, not a hold time: with nothing predicting a
+  // neighbour, one request to an idle server is served when it arrives.
+  const Tensor pool = image_pool(1);
+  ModelRegistry registry;
+  publish_seeded(registry, "m", 7);
+  ServerConfig cfg;
+  cfg.model_name = "m";
+  cfg.batch.max_wait = 1.0;
+  Server server(registry, cfg);
+  server.start();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const Response r = server.submit(pool.slice_row(0)).wait();
+  const double elapsed = seconds_since(t0);
+  EXPECT_EQ(r.error, ServeError::kNone);
+  EXPECT_LT(elapsed, 0.5);
+  server.drain();
+}
+
+TEST(Server, SequentialRoundTripsNeverLoseAWakeup) {
+  // Each submit finds the lone worker blocked idle on the queue, so every
+  // round trip depends on submit's wakeup: a lost one hangs the test.
+  const Tensor pool = image_pool(4);
+  ModelRegistry registry;
+  publish_seeded(registry, "m", 8);
+  ServerConfig cfg;
+  cfg.model_name = "m";
+  cfg.workers = 1;
+  Server server(registry, cfg);
+  server.start();
+
+  std::size_t answered = 0;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    if (server.submit(pool.slice_row(i % 4)).wait().error ==
+        ServeError::kNone) {
+      ++answered;
+    }
+  }
+  server.drain();
+  EXPECT_EQ(answered, 1000u);
+  EXPECT_EQ(server.stats().snapshot().served, 1000u);
+}
+
+TEST(Server, DrainWakesAWorkerBlockedIdle) {
+  ModelRegistry registry;
+  publish_seeded(registry, "m", 9);
+  ServerConfig cfg;
+  cfg.model_name = "m";
+  cfg.workers = 2;
+  Server server(registry, cfg);
+  server.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.drain();
+  EXPECT_LT(seconds_since(t0), 0.5);
 }
 
 }  // namespace

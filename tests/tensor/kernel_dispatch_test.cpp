@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +19,29 @@ namespace {
 
 struct KernelGuard {
   ~KernelGuard() { set_active_kernel(""); }
+};
+
+/// Unsets SATD_KERNEL for a test's duration and restores the caller's
+/// value afterwards, so a test that resolves the environment sees the
+/// auto-detected default even under a pinned kernel (the scalar CI leg),
+/// and leaves the pin in place for the tests after it. Declare it after
+/// the KernelGuard so the pin is back before the kernel is re-resolved.
+class KernelEnvGuard {
+ public:
+  KernelEnvGuard() {
+    if (const char* v = std::getenv("SATD_KERNEL")) saved_ = v;
+    unsetenv("SATD_KERNEL");
+  }
+  ~KernelEnvGuard() {
+    if (saved_) {
+      setenv("SATD_KERNEL", saved_->c_str(), 1);
+    } else {
+      unsetenv("SATD_KERNEL");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 TEST(KernelRegistry, ScalarIsCompiledFirstAndAlwaysAvailable) {
@@ -80,6 +104,7 @@ TEST(KernelDispatch, UnknownNameWarnsAndFallsBackToAuto) {
 
 TEST(KernelDispatch, EmptyNameRestoresEnvironmentResolution) {
   KernelGuard guard;
+  KernelEnvGuard env;
   ASSERT_TRUE(set_active_kernel("scalar"));
   ASSERT_STREQ(active_kernel().name, "scalar");
   EXPECT_TRUE(set_active_kernel(""));
@@ -88,6 +113,7 @@ TEST(KernelDispatch, EmptyNameRestoresEnvironmentResolution) {
 
 TEST(KernelDispatch, EnvVariableSelectsAndHardensLikeTheSetter) {
   KernelGuard guard;
+  KernelEnvGuard env;
   // set_active_kernel("") re-runs the SATD_KERNEL resolution, which lets
   // this test exercise the env path without a process restart.
   ASSERT_EQ(setenv("SATD_KERNEL", "scalar", 1), 0);
